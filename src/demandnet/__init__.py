@@ -20,7 +20,6 @@ from .data import (
     PolicyRangeError,
     SchemaError,
     SeriesBundle,
-    SupervisedSample,
     SynthConfig,
     fit_norm_stats,
     holdout_series,
@@ -54,8 +53,6 @@ from .features import (
     CorrelationReport,
     SaeArch,
     StackedAutoencoder,
-    decode,
-    encode,
     filter_static,
     rank_with_ties,
     spearman,
@@ -65,8 +62,6 @@ from .forecaster import (
     ForecastDistribution,
     ForecasterArch,
     ForecasterModel,
-    PolicyVector,
-    demand_cell_adjust,
     forecast_unseen,
     load_forecaster,
     mc_forecast,
@@ -77,15 +72,11 @@ from .forecaster import (
 )
 from .nn import (
     DenseLayer,
-    DropoutMask,
     Parameter,
     TrainConfig,
-    cell_step,
-    dense_forward,
     grad_check,
     penalized_loss,
     sample_dropout_mask,
-    sgd_step,
 )
 from .pipeline import PipelineConfig, TrainedPipeline, train_demandnet
 

@@ -31,9 +31,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .data import (
     DataError,
     SeriesBundle,
-    fit_norm_stats,
     load_dataset,
-    split_time,
     synth_generate,
     write_dataset_csv,
     write_sidecar_csv,
@@ -51,6 +49,7 @@ from .forecaster import (
     variance_vs_truth,
 )
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .nn.optim import DivergenceError
 from .pipeline import train_demandnet, train_effects_for
 
 log = logging.getLogger("demandnet")
@@ -117,6 +116,7 @@ def _effects_path(cfg: RunConfig) -> str:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    """Generate a seeded synthetic panel and its dataset manifest."""
     bundles = synth_generate(cfg.synth, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     data_path = os.path.join(cfg.out_dir, "data.csv")
@@ -145,6 +145,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
+    """Validate an external panel CSV (and sidecar) and write its manifest."""
     if cfg.data_csv is None:
         raise ConfigError("ingest needs data_csv (e.g. --set data_csv=path/to.csv)")
     bundles = load_dataset(cfg.data_csv, sidecar=cfg.sidecar_csv)
@@ -163,6 +164,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_select_features(cfg: RunConfig) -> int:
+    """Screen static features by rank correlation with shock impact."""
     bundles = _load_manifest_bundles(cfg)
     report = filter_static(bundles, band=cfg.band)
     out = os.path.join(cfg.out_dir, "static_screening.csv")
@@ -173,6 +175,7 @@ def cmd_select_features(cfg: RunConfig) -> int:
 
 
 def cmd_train_effects(cfg: RunConfig) -> int:
+    """Train the effects model and save its checkpoint."""
     bundles = _load_manifest_bundles(cfg)
     model, report = train_effects_for(bundles, cfg.pipeline(), seed=cfg.seed)
     meta = {"effects": effects_meta(model), "seed": cfg.seed}
@@ -188,6 +191,7 @@ def cmd_train_effects(cfg: RunConfig) -> int:
 
 
 def cmd_effects_curve(cfg: RunConfig) -> int:
+    """Export a marginal effect curve and its polynomial fit."""
     path = _effects_path(cfg)
     if not os.path.exists(path):
         raise PrerequisiteError(
@@ -218,6 +222,7 @@ def cmd_effects_curve(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Train the full pipeline and save the forecaster checkpoint."""
     bundles = _load_manifest_bundles(cfg)
     trained = train_demandnet(bundles, cfg.pipeline(), seed=cfg.seed)
     save_forecaster(trained.forecaster, _forecaster_path(cfg))
@@ -238,6 +243,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
+    """Forecast one series with Monte-Carlo dropout uncertainty."""
     path = _forecaster_path(cfg)
     if not os.path.exists(path):
         raise PrerequisiteError(
@@ -258,14 +264,11 @@ def cmd_forecast(cfg: RunConfig) -> int:
         seed=cfg.seed,
         fractions=cfg.fractions,
     )
-    split = split_time(bundle.length, cfg.fractions)
+    split, stats, nb = model.prepare(bundle, cfg.fractions)
     origin = cfg.forecast_origin if cfg.forecast_origin is not None else split.test.start
-    stats = model.norm_stats.get(bundle.id)
-    if stats is None:
-        stats = fit_norm_stats(bundle, split, identity_channels=(model.policy_channel,))
     var_vs = None
     if origin + model.arch.horizon <= bundle.length:
-        truth = stats.normalize_target(bundle.target[origin : origin + model.arch.horizon])
+        truth = nb.target[origin : origin + model.arch.horizon]
         var_vs = variance_vs_truth(dist, truth)
     # means shift by the per-series location, spreads only scale
     scale = float(stats.scale[0])
@@ -284,20 +287,9 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    path = _forecaster_path(cfg)
-    if not os.path.exists(path):
-        raise PrerequisiteError(
-            f"no forecaster checkpoint at {path}; run `demandnet train` first "
-            f"(evaluation retrains per seed with the checkpointed architecture)"
-        )
-    blueprint = load_forecaster(path)
+    """Retrain per seed from the current config and score the protocol."""
     bundles = _load_manifest_bundles(cfg)
     pipeline_cfg = cfg.pipeline()
-    if blueprint.arch != pipeline_cfg.arch or blueprint.tau != pipeline_cfg.tau:
-        log.warning(
-            "checkpoint architecture %s differs from the current config; "
-            "evaluating with the current config", blueprint.arch,
-        )
     if cfg.eval_protocol == "split80":
         report = run_split80(
             bundles, cfg.eval_methods, cfg.horizons, cfg.eval_seeds, pipeline_cfg
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
             seed=args.seed, out_dir=args.out,
         )
         return COMMANDS[args.command](cfg)
-    except (ConfigError, DataError, CheckpointError, PrerequisiteError) as exc:
+    except (ConfigError, DataError, CheckpointError, PrerequisiteError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

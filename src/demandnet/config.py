@@ -15,7 +15,6 @@ import typing
 from dataclasses import dataclass
 
 from .data import SynthConfig
-from .features import SaeArch
 from .forecaster import ForecasterArch
 from .nn.optim import TrainConfig
 from .pipeline import PipelineConfig
@@ -66,13 +65,6 @@ class RunConfig:
         optimizer="adam", learning_rate=2e-3, epochs=30, batch_size=64
     )
 
-    sae_widths: tuple[int, ...] = (64, 32)
-    sae_bottleneck: int = 8
-    sae_train: TrainConfig = TrainConfig(
-        optimizer="adam", learning_rate=2e-3, epochs=30, batch_size=64
-    )
-    sae_threshold_ratio: float = 0.2
-
     synth: SynthConfig = SynthConfig()
 
     # evaluate
@@ -115,9 +107,6 @@ class RunConfig:
             forecaster_train=self.forecaster_train,
             effects_train=self.effects_train,
             effects_width=self.effects_width,
-            sae=SaeArch(widths=self.sae_widths, bottleneck=self.sae_bottleneck, cell=self.cell),
-            sae_train=self.sae_train,
-            sae_threshold_ratio=self.sae_threshold_ratio,
         )
 
     def to_dict(self) -> dict:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rngs import stream
 
@@ -221,70 +222,63 @@ def fit_norm_stats(
     return NormStats(location, scale, constant, identity, split.train)
 
 
-@dataclass(frozen=True)
-class SupervisedSample:
-    """One training window: past panel, future policies, future targets.
+def prepare_bundle(bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
+    """Split, fit normalization stats (policy kept raw), normalize.
 
-    ``window`` is (tau, 1+M) with the target in column 0; ``origin`` is the
-    index of the first label step within the source series.
+    Returns ``(split, stats, normalized bundle)``.
     """
-
-    window: np.ndarray
-    future_policies: np.ndarray
-    label: np.ndarray
-    origin: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "window", _frozen_array(self.window, ndim=2, name="window"))
-        object.__setattr__(
-            self, "future_policies", _frozen_array(self.future_policies, ndim=1)
-        )
-        object.__setattr__(self, "label", _frozen_array(self.label, ndim=1, name="label"))
-        if self.future_policies.shape != self.label.shape:
-            raise ValueError("future_policies and label must have equal length")
+    split = split_time(bundle.length, fractions)
+    stats = fit_norm_stats(bundle, split, identity_channels=(1 + bundle.policy_index,))
+    return split, stats, stats.normalize_bundle(bundle)
 
 
-def make_windows(bundle: SeriesBundle, tau: int, horizon: int) -> list[SupervisedSample]:
+@dataclass(frozen=True)
+class Windows:
+    """Supervised windows stacked along axis 0: past panels (N, tau, 1+M)
+    with the target in column 0, future policies (N, H), future targets
+    (N, H), and each window's origin, the series index of its first label."""
+
+    past: np.ndarray
+    policies: np.ndarray
+    labels: np.ndarray
+    origins: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.origins.shape[0])
+
+    @classmethod
+    def concat(cls, parts) -> "Windows":
+        return cls(*(np.concatenate([getattr(w, f.name) for w in parts]) for f in fields(cls)))
+
+
+def make_windows(bundle: SeriesBundle, tau: int, horizon: int,
+                 span: range | None = None) -> Windows:
     """Slide a (tau past, horizon future) window over one series.
 
-    Returns ``T - tau - horizon + 1`` samples; never crosses series
+    Returns ``T - tau - horizon + 1`` windows, origins ``tau .. T - horizon``;
+    with ``span``, only those with ``span.start <= origin`` and
+    ``origin + horizon <= span.stop`` (possibly none).  Never crosses series
     boundaries because it only ever sees one bundle.
     """
     if tau < 1 or horizon < 1:
         raise ValueError(f"tau and horizon must be >= 1, got tau={tau} horizon={horizon}")
     T = bundle.length
-    count = T - tau - horizon + 1
-    if count <= 0:
+    if T - tau - horizon + 1 <= 0:
         raise ValueError(
             f"series {bundle.id}: length {T} too short for tau={tau} horizon={horizon}"
         )
-    panel = bundle.channel_matrix()
-    policy = bundle.policy
-    samples = []
-    for i in range(count):
-        origin = i + tau
-        samples.append(
-            SupervisedSample(
-                window=panel[i:origin],
-                future_policies=policy[origin : origin + horizon],
-                label=bundle.target[origin : origin + horizon],
-                origin=origin,
-            )
-        )
-    return samples
-
-
-def windows_in_range(samples: list[SupervisedSample], last_label_end: int, horizon: int):
-    """Keep samples whose labels end at or before ``last_label_end``."""
-    return [s for s in samples if s.origin + horizon <= last_label_end]
-
-
-def stack_windows(samples: list[SupervisedSample]):
-    """Stack samples into (N, tau, C), (N, H), (N, H) arrays."""
-    windows = np.stack([s.window for s in samples])
-    policies = np.stack([s.future_policies for s in samples])
-    labels = np.stack([s.label for s in samples])
-    return windows, policies, labels
+    first, stop = tau, T - horizon + 1
+    if span is not None:
+        first, stop = max(first, span.start), min(stop, span.stop - horizon + 1)
+    stop = max(first, stop)
+    past = sliding_window_view(bundle.channel_matrix(), tau, axis=0).transpose(0, 2, 1)
+    views = (
+        past[first - tau : stop - tau],
+        sliding_window_view(bundle.policy, horizon)[first:stop],
+        sliding_window_view(bundle.target, horizon)[first:stop],
+        np.arange(first, stop),
+    )
+    return Windows(*(np.array(v, order="C") for v in views))
 
 
 def holdout_series(bundles: list[SeriesBundle], held_ids) -> tuple[list, list]:

@@ -11,7 +11,7 @@ skip connection via :func:`policy_delta`.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class MarginalCurve:
     feature: str
     grid: np.ndarray
     values: np.ndarray
-    polynomial: PolynomialFit | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -207,10 +206,6 @@ def fit_polynomial(curve: MarginalCurve, degree: int = 3) -> PolynomialFit:
         np.polynomial.polynomial.polyval(curve.grid, coeffs) - curve.values
     )))
     return PolynomialFit(coefficients=coeffs, degree=degree, max_residual=residual)
-
-
-def with_polynomial(curve: MarginalCurve, fit: PolynomialFit) -> MarginalCurve:
-    return replace(curve, polynomial=fit)
 
 
 def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):

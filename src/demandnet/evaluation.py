@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeriesBundle, fit_norm_stats, split_time
+from .data import SeriesBundle, prepare_bundle
 from .forecaster import ForecasterModel, mc_forecast_batch
-from .pipeline import PipelineConfig, prepare_bundle, train_demandnet
+from .pipeline import PipelineConfig, train_demandnet
 
 log = logging.getLogger(__name__)
 
@@ -346,11 +346,7 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
     when it trained on this series, otherwise they are fitted afresh on the
     bundle's own training fraction (the unseen-series convention).
     """
-    split = split_time(bundle.length, cfg.fractions)
-    stats = model.norm_stats.get(bundle.id)
-    if stats is None:
-        stats = fit_norm_stats(bundle, split, identity_channels=(model.policy_channel,))
-    nb = stats.normalize_bundle(bundle)
+    split, stats, nb = model.prepare(bundle, cfg.fractions)
     panel = nb.channel_matrix()
     H = model.arch.horizon
     h_min = min(horizons)
@@ -386,7 +382,7 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
 def classical_eval_bundle(bundle: SeriesBundle, cfg: PipelineConfig,
                           horizons, method: str) -> dict:
     """Tune on the validation range, forecast every valid test origin."""
-    split, stats, nb = prepare_bundle(bundle, cfg)
+    split, stats, nb = prepare_bundle(bundle, cfg.fractions)
     series = nb.target
     scale = float(stats.scale[0])
     val_origins = range(split.validation.start, split.validation.stop)

@@ -279,21 +279,11 @@ class StackedAutoencoder:
         return float(np.mean((recon - windows) ** 2))
 
 
-def encode(sae: StackedAutoencoder, window: np.ndarray) -> np.ndarray:
-    """Stateless encode of one window or a batch of windows."""
-    return sae.encode(window)
-
-
-def decode(sae: StackedAutoencoder, code: np.ndarray) -> np.ndarray:
-    """Stateless decode of one code or a batch of codes."""
-    return sae.decode(code)
-
-
 def _as_window_array(windows) -> np.ndarray:
     if isinstance(windows, np.ndarray):
         arr = np.asarray(windows, dtype=float)
     else:
-        arr = np.stack([np.asarray(getattr(w, "window", w), dtype=float) for w in windows])
+        arr = np.stack([np.asarray(w, dtype=float) for w in windows])
     if arr.ndim != 3:
         raise ValueError(f"expected (N, tau, C) windows, got shape {arr.shape}")
     return arr

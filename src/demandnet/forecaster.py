@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, NormStats, SeriesBundle, fit_norm_stats, make_windows, split_time
+from .data import NormStats, SeriesBundle, Windows, make_windows, prepare_bundle, split_time
 from .effects import EffectModel, PolynomialFit, policy_delta
 from .nn.checkpoint import (
     load_checkpoint,
@@ -62,26 +62,6 @@ class ForecasterArch:
 
 
 @dataclass(frozen=True)
-class PolicyVector:
-    """An announced future policy path over the forecast horizon."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"policy vector must be 1-D, got shape {values.shape}")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("policy values must lie in [0, 1]")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def horizon(self) -> int:
-        return int(self.values.shape[0])
-
-
-@dataclass(frozen=True)
 class ForecastDistribution:
     """kappa Monte-Carlo sample paths with their mean and spread per step."""
 
@@ -112,10 +92,7 @@ class ForecasterTraining:
 
 
 def _as_policy_array(policies, horizon: int) -> np.ndarray:
-    if isinstance(policies, PolicyVector):
-        values = policies.values
-    else:
-        values = np.asarray(policies, dtype=float)
+    values = np.asarray(policies, dtype=float)
     if values.shape != (horizon,):
         raise ValueError(f"expected a length-{horizon} policy path, got shape {values.shape}")
     return values
@@ -128,22 +105,6 @@ def apply_adjustment(base: np.ndarray, delta: np.ndarray, mode: str) -> np.ndarr
     if mode == "multiplicative":
         return base * (1.0 + delta)
     raise ValueError(f"adjust_mode must be one of {ADJUST_MODES}, got {mode!r}")
-
-
-def demand_cell_adjust(base, policies, effect_model: EffectModel,
-                       reference: float = 0.0, mode: str = "additive"):
-    """Shift base forecast(s) by the effect model's predicted policy impact.
-
-    ``policies`` aligns elementwise with ``base``; the shift for step t is
-    the effects curve at the announced policy minus the curve at the
-    reference level.
-    """
-    base = np.asarray(base, dtype=float)
-    pol = policies.values if isinstance(policies, PolicyVector) else np.asarray(policies, float)
-    if pol.shape != base.shape:
-        raise ValueError(f"policies shape {pol.shape} != base shape {base.shape}")
-    delta = policy_delta(effect_model, pol, reference)
-    return apply_adjustment(base, np.asarray(delta, dtype=float), mode)
 
 
 class ForecasterModel:
@@ -233,20 +194,28 @@ class ForecasterModel:
             add_penalty_grads(self.parameters(), self.lam)
         return value
 
+    def prepare(self, bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
+        """:func:`prepare_bundle` with this model's stored stats when it
+        trained on the series; returns ``(split, stats, normalized bundle)``."""
+        if bundle.channel_names() != self.channel_names:
+            raise ValueError(
+                f"series {bundle.id} channels {bundle.channel_names()} do not match "
+                f"the model's {self.channel_names}"
+            )
+        if 1 + bundle.policy_index != self.policy_channel:
+            raise ValueError(f"series {bundle.id} has its policy in channel "
+                             f"{1 + bundle.policy_index}, the model in {self.policy_channel}")
+        stats = self.norm_stats.get(bundle.id)
+        if stats is None:
+            return prepare_bundle(bundle, fractions)
+        return split_time(bundle.length, fractions), stats, stats.normalize_bundle(bundle)
+
     def mean_policy_at(self, origin: int, horizon: int) -> np.ndarray:
         """Cross-series mean training policy path at matching absolute offsets."""
         if self.mean_policy is None:
             raise ValueError("model has no stored mean policy trajectory")
         idx = np.minimum(np.arange(origin, origin + horizon), self.mean_policy.size - 1)
         return self.mean_policy[idx]
-
-
-def _val_windows(samples, split: DatasetSplit, horizon: int):
-    """Windows whose labels fall entirely inside the validation range."""
-    return [
-        s for s in samples
-        if s.origin >= split.validation.start and s.origin + horizon <= split.validation.stop
-    ]
 
 
 def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
@@ -274,29 +243,17 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     policy_sum = np.zeros(max_len)
     policy_count = np.zeros(max_len)
     for b in bundles:
-        split = split_time(b.length, fractions)
-        stats = fit_norm_stats(b, split, identity_channels=(policy_channel,))
-        norm_stats[b.id] = stats
-        nb = stats.normalize_bundle(b)
-        samples = make_windows(nb, tau, arch.horizon)
-        train_parts.extend(s for s in samples if s.origin + arch.horizon <= split.train.stop)
-        val_parts.extend(_val_windows(samples, split, arch.horizon))
+        split, norm_stats[b.id], nb = prepare_bundle(b, fractions)
+        train_parts.append(make_windows(nb, tau, arch.horizon, span=split.train))
+        val_parts.append(make_windows(nb, tau, arch.horizon, span=split.validation))
         policy_sum[: b.length] += b.policy
         policy_count[: b.length] += 1.0
-    if not train_parts:
+    train, val = Windows.concat(train_parts), Windows.concat(val_parts)
+    if not len(train):
         raise ValueError(f"no training windows: series too short for tau={tau} "
                          f"horizon={arch.horizon}")
-
-    def _stack(parts):
-        W = np.stack([s.window for s in parts])
-        P = np.stack([s.future_policies for s in parts])
-        Y = np.stack([s.label for s in parts])
-        return W, P, Y
-
-    W_tr, P_tr, Y_tr = _stack(train_parts)
-    has_val = bool(val_parts)
-    if has_val:
-        W_va, P_va, Y_va = _stack(val_parts)
+    W_tr, P_tr, Y_tr = train.past, train.policies, train.labels
+    has_val = bool(len(val))
 
     model = ForecasterModel(
         arch, tau, channel_names, policy_channel, effect_model=effect_model,
@@ -306,7 +263,7 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     model.mean_policy = policy_sum / np.maximum(policy_count, 1.0)
 
     delta_tr = model.policy_deltas(P_tr)
-    delta_va = model.policy_deltas(P_va) if has_val else None
+    delta_va = model.policy_deltas(val.policies) if has_val else None
 
     params = model.parameters()
     optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
@@ -325,7 +282,7 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
                     sample_dropout_mask(
                         (rows.size, w), arch.dropout,
                         stream(config.seed, "forecaster", "dropout", epoch, step, l),
-                    ).values
+                    )
                     for l, w in enumerate(widths)
                 ]
             for p in params:
@@ -340,7 +297,7 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
             batches += 1
         train_history.append(epoch_loss / batches)
         if has_val:
-            score = model._loss_with_delta(W_va, delta_va, Y_va, with_grads=False)
+            score = model._loss_with_delta(val.past, delta_va, val.labels, with_grads=False)
         else:
             score = model._loss_with_delta(W_tr, delta_tr, Y_tr, with_grads=False)
         val_history.append(score)
@@ -398,7 +355,7 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
         for k in range(kappa):
             rng = stream(seed, "mc-pass", k)
             for l, w in enumerate(widths):
-                per_layer[l][k] = sample_dropout_mask((w,), p_used, rng).values
+                per_layer[l][k] = sample_dropout_mask((w,), p_used, rng)
         masks = [np.repeat(rows, N, axis=0) for rows in per_layer]
     big = np.tile(W, (kappa, 1, 1))
     base = model._forward_base(big, masks=masks, cache=False).reshape(kappa, N, -1)
@@ -474,21 +431,17 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
                     policy_mode: str = "known", policies=None, origin: int | None = None,
                     kappa: int = 100, p: float | None = None, seed: int = 0,
                     fractions=(0.8, 0.1, 0.1)) -> ForecastDistribution:
-    """Forecast a series the model never trained on; no parameter updates.
+    """Forecast one window of any series; no parameter updates.
 
-    The bundle is normalized by stats fitted on its own pre-forecast history
-    (the training fraction of its timeline), keeping the scale convention
-    identical to training.  ``policy_mode`` selects the future policy path:
-    the bundle's recorded path ("known"), the cross-series mean training
-    trajectory at the same calendar offsets ("dummy"), or a caller-supplied
-    schedule ("scheduled").
+    A series the model trained on is normalized by the stats stored at
+    training, whatever ``fractions`` says; any other series by stats fitted
+    on its own training fraction, the same convention as training.
+    ``fractions`` also places the default origin at the test-range start.
+    ``policy_mode`` selects the future policy path: the bundle's recorded
+    path ("known"), the cross-series mean training trajectory at the same
+    calendar offsets ("dummy"), or a caller-supplied schedule ("scheduled").
     """
-    if bundle.channel_names() != model.channel_names:
-        raise ValueError(
-            f"series {bundle.id} channels {bundle.channel_names()} do not match "
-            f"the model's {model.channel_names}"
-        )
-    split = split_time(bundle.length, fractions)
+    split, _, nb = model.prepare(bundle, fractions)
     start = split.test.start if origin is None else int(origin)
     if start < model.tau:
         raise ValueError(f"origin {start} leaves no room for a tau={model.tau} window")
@@ -510,8 +463,6 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
         pol = _as_policy_array(policies, H)
     else:
         raise ValueError(f"unknown policy_mode {policy_mode!r}")
-    stats = fit_norm_stats(bundle, split, identity_channels=(model.policy_channel,))
-    nb = stats.normalize_bundle(bundle)
     window = nb.channel_matrix()[start - model.tau : start]
     return mc_forecast(model, window, pol, kappa=kappa, p=p, seed=seed)
 

@@ -9,15 +9,14 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .gradcheck import DenseProbe, SequenceProbe, grad_check
-from .layers import DenseLayer, DropoutMask, Parameter, dense_forward, glorot_uniform, sample_dropout_mask
+from .layers import DenseLayer, Parameter, glorot_uniform, sample_dropout_mask
 from .loss import add_penalty_grads, mse_grad, penalized_loss
-from .optim import Adam, DivergenceError, Sgd, TrainConfig, make_optimizer, sgd_step
+from .optim import Adam, DivergenceError, Sgd, TrainConfig, make_optimizer
 from .recurrent import (
     CELL_KINDS,
     GRULayer,
     LSTMLayer,
     RecurrentStack,
-    cell_step,
     make_cell,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "DenseLayer",
     "DenseProbe",
     "DivergenceError",
-    "DropoutMask",
     "GRULayer",
     "LSTMLayer",
     "Parameter",
@@ -38,8 +36,6 @@ __all__ = [
     "Sgd",
     "TrainConfig",
     "add_penalty_grads",
-    "cell_step",
-    "dense_forward",
     "get_activation",
     "glorot_uniform",
     "grad_check",
@@ -53,7 +49,6 @@ __all__ = [
     "penalized_loss",
     "sample_dropout_mask",
     "save_checkpoint",
-    "sgd_step",
     "sigmoid",
     "tanh",
 ]

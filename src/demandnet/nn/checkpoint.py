@@ -1,10 +1,12 @@
 """Atomic, bit-exact model checkpoints.
 
 A checkpoint is a single ``.npz`` holding every parameter array in float64
-plus a JSON metadata blob (format version, model kind, architecture,
-training config, optimizer and RNG state).  Writes go to a temporary file in
-the target directory followed by ``os.replace``, so a crash never leaves a
-half-written checkpoint behind.
+plus a JSON metadata blob: the format version, the model kind, and whatever
+the caller passes (for the forecaster: architecture, normalization stats and
+the chosen dropout rate).  Neither training config, optimizer state nor RNG
+state is stored, so a checkpoint serves inference, not resumed training.
+Writes go to a temporary file in the target directory followed by
+``os.replace``, so a crash never leaves a half-written checkpoint behind.
 """
 
 from __future__ import annotations

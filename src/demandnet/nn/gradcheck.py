@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import DenseLayer
-from .loss import mse_grad, penalized_loss
+from .loss import add_penalty_grads, mse_grad, penalized_loss
 
 
 def grad_check(model, batch, epsilon: float = 1e-5, rng: np.random.Generator | None = None,
@@ -69,8 +69,7 @@ class DenseProbe:
         value = penalized_loss(out, self.target, weights, self.lam)
         if with_grads:
             self.layer.backward(mse_grad(out, self.target))
-            for p in weights:
-                p.grad += 2.0 * self.lam * p.value
+            add_penalty_grads(self.parameters(), self.lam)
         return value
 
 
@@ -91,6 +90,5 @@ class SequenceProbe:
         value = penalized_loss(H, self.target, weights, self.lam)
         if with_grads:
             self.module.backward(mse_grad(H, self.target))
-            for p in weights:
-                p.grad += 2.0 * self.lam * p.value
+            add_penalty_grads(self.parameters(), self.lam)
         return value

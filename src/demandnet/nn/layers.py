@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .activations import get_activation
@@ -83,41 +81,15 @@ class DenseLayer:
         return dx[0] if squeeze else dx
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """Stateless forward pass through a dense layer."""
-    return layer.forward(x, cache=False)
+def sample_dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw an inverted dropout mask of the given shape.
 
-
-@dataclass(frozen=True)
-class DropoutMask:
-    """Inverted dropout mask: entries are 0 (dropped) or 1/(1-p) (kept).
-
-    Multiplying by the mask keeps activations unbiased in expectation; at
-    p = 0 the mask is exactly the identity.  ``stream`` records which RNG
-    stream drew the mask.
+    Entries are 0 (dropped) or 1/(1-p) (kept), so multiplying by the mask
+    keeps activations unbiased in expectation; at p = 0 it is all ones.
     """
-
-    values: np.ndarray
-    p: float
-    stream: str = ""
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x * self.values
-
-
-def sample_dropout_mask(shape, p: float, rng: np.random.Generator,
-                        stream: str = "") -> DropoutMask:
-    """Draw an inverted dropout mask of the given shape."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
-        values = np.ones(shape)
-    else:
-        keep = rng.random(size=shape) >= p
-        values = keep / (1.0 - p)
-    return DropoutMask(values=values, p=p, stream=stream)
+        return np.ones(shape)
+    keep = rng.random(size=shape) >= p
+    return keep / (1.0 - p)

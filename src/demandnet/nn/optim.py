@@ -18,8 +18,9 @@ class TrainConfig:
     """Shared training hyperparameters.
 
     Defaults are the published operating point (batch 128, learning rate
-    1e-5, weight decay 1e-6, 100 epochs, 2-layer blocks of width 128); every
-    field can be overridden per experiment.
+    1e-5, weight decay 1e-6, 100 epochs, 2 effects-network layers); every
+    field can be overridden per experiment.  The recurrent stack's shape
+    belongs to ``ForecasterArch``.
     """
 
     learning_rate: float = 1e-5
@@ -27,8 +28,6 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 100
     mlp_layers: int = 2
-    rnn_hidden: int = 128
-    rnn_layers: int = 2
     optimizer: str = "sgd"
     seed: int = 0
 
@@ -39,29 +38,12 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.mlp_layers < 1 or self.rnn_layers < 1 or self.rnn_hidden < 1:
-            raise ValueError("layer counts and widths must be >= 1")
+        if self.mlp_layers < 1:
+            raise ValueError("mlp_layers must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-def sgd_step(params, grads, eta: float):
-    """One plain gradient-descent update: ``w <- w - eta * dL/dw``.
-
-    Pure-array form; returns the updated copies in the same order.
-    """
-    if len(params) != len(grads):
-        raise ValueError("params and grads must align")
-    updated = []
-    for w, g in zip(params, grads):
-        w = np.asarray(w, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if w.shape != g.shape:
-            raise ValueError(f"shape mismatch {w.shape} vs {g.shape}")
-        updated.append(w - eta * g)
-    return updated
 
 
 def _check_finite(params: list[Parameter]):
@@ -82,12 +64,6 @@ class Sgd:
         _check_finite(self.params)
         for p in self.params:
             p.value -= self.eta * p.grad
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        pass
 
 
 class Adam:
@@ -113,19 +89,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * p.grad**2
             p.value -= self.eta * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"t": np.array([self.t], dtype=float)}
-        for p, m, v in zip(self.params, self.m, self.v):
-            out[f"m::{p.name}"] = m
-            out[f"v::{p.name}"] = v
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        self.t = int(arrays["t"][0])
-        for i, p in enumerate(self.params):
-            self.m[i] = np.array(arrays[f"m::{p.name}"], dtype=float)
-            self.v[i] = np.array(arrays[f"v::{p.name}"], dtype=float)
 
 
 def make_optimizer(name: str, params: list[Parameter], eta: float):

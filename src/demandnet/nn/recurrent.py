@@ -238,11 +238,6 @@ def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
     return cls(in_dim, hidden, rng=rng, name=name or kind)
 
 
-def cell_step(cell, x: np.ndarray, state=None):
-    """Advance one recurrent cell a single step: (output, new_state)."""
-    return cell.step(x, state)
-
-
 class RecurrentStack:
     """Stacked recurrent layers with an optional dropout mask per layer.
 

@@ -1,9 +1,9 @@
 """End-to-end assembly: from bundles to trained models.
 
 This is the glue the experiment protocols, the CLI, and the scripts share:
-per-series splits and normalization, pooled effects-model training data
-(dynamic covariates plus screened statics), and the full train sequence
-(effects model, forecaster, dropout-rate selection).
+pooled effects-model training data (dynamic covariates plus screened
+statics), pooled validation windows, and the full train sequence (effects
+model, forecaster, dropout-rate selection).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import SeriesBundle, fit_norm_stats, make_windows, split_time
+from .data import SeriesBundle, Windows, make_windows, prepare_bundle
 from .effects import EffectModel, train_effect_model
-from .features import CorrelationReport, SaeArch, filter_static
+from .features import CorrelationReport, filter_static
 from .forecaster import ForecasterArch, ForecasterModel, optimize_dropout, train_forecaster
 from .nn.optim import TrainConfig
 
@@ -43,9 +43,6 @@ class PipelineConfig:
     forecaster_train: TrainConfig = TrainConfig(optimizer="adam")
     effects_train: TrainConfig = TrainConfig()
     effects_width: int = 64
-    sae: SaeArch = SaeArch()
-    sae_train: TrainConfig = TrainConfig(optimizer="adam")
-    sae_threshold_ratio: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
@@ -67,13 +64,6 @@ class PipelineConfig:
 
     def snapshot(self) -> dict:
         return asdict(self)
-
-
-def prepare_bundle(bundle: SeriesBundle, cfg: PipelineConfig):
-    """Split, fit normalization stats (policy kept raw), normalize."""
-    split = split_time(bundle.length, cfg.fractions)
-    stats = fit_norm_stats(bundle, split, identity_channels=(1 + bundle.policy_index,))
-    return split, stats, stats.normalize_bundle(bundle)
 
 
 def screen_statics(bundles: list[SeriesBundle], cfg: PipelineConfig) -> CorrelationReport | None:
@@ -110,7 +100,7 @@ def effect_training_data(bundles: list[SeriesBundle], cfg: PipelineConfig):
 
     X_rows, y_rows = [], []
     for i, bundle in enumerate(bundles):
-        split, stats, nb = prepare_bundle(bundle, cfg)
+        split, _, nb = prepare_bundle(bundle, cfg.fractions)
         rows = nb.covariates[split.train.start : split.train.stop]
         if static_matrix is not None:
             rows = np.hstack([rows, np.tile(static_matrix[i], (rows.shape[0], 1))])
@@ -137,17 +127,12 @@ def train_effects_for(bundles: list[SeriesBundle], cfg: PipelineConfig,
 
 def pooled_validation_windows(bundles: list[SeriesBundle], cfg: PipelineConfig, horizon: int):
     """Validation-range windows from every bundle, stacked for scoring."""
-    W, P, Y = [], [], []
+    parts = []
     for bundle in bundles:
-        split, stats, nb = prepare_bundle(bundle, cfg)
-        for s in make_windows(nb, cfg.tau, horizon):
-            if s.origin >= split.validation.start and s.origin + horizon <= split.validation.stop:
-                W.append(s.window)
-                P.append(s.future_policies)
-                Y.append(s.label)
-    if not W:
-        return None
-    return np.stack(W), np.stack(P), np.stack(Y)
+        split, _, nb = prepare_bundle(bundle, cfg.fractions)
+        parts.append(make_windows(nb, cfg.tau, horizon, span=split.validation))
+    pooled = Windows.concat(parts)
+    return (pooled.past, pooled.policies, pooled.labels) if len(pooled) else None
 
 
 @dataclass(frozen=True)

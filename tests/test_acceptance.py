@@ -22,7 +22,7 @@ import scipy.stats
 
 import demandnet as dn
 from demandnet.cli import main as cli_main
-from demandnet.data import load_dataset, make_windows
+from demandnet.data import load_dataset, make_windows, prepare_bundle
 from demandnet.effects import EffectModel, marginal_effect
 from demandnet.evaluation import (
     demandnet_eval_bundle,
@@ -53,7 +53,6 @@ from demandnet.nn import DenseLayer, RecurrentStack, TrainConfig, grad_check
 from demandnet.nn.gradcheck import DenseProbe, SequenceProbe
 from demandnet.pipeline import (
     PipelineConfig,
-    prepare_bundle,
     train_demandnet,
     train_effects_for,
 )
@@ -211,10 +210,9 @@ def test_autoencoder_compresses_heldout_windows(capsys):
     bundles = dn.synth_generate(dn.SynthConfig(), seed=0)
     wins = []
     for b in bundles:
-        split, stats, nb = prepare_bundle(b, cfgp)
-        wins.extend(s.window for s in make_windows(nb, tau=16, horizon=1)
-                    if s.origin <= split.train.stop)
-    W = np.stack(wins)
+        split, stats, nb = prepare_bundle(b, cfgp.fractions)
+        wins.append(make_windows(nb, tau=16, horizon=1, span=range(split.train.stop + 1)).past)
+    W = np.concatenate(wins)
 
     ratios, positive_drift = [], []
     for seed in SEEDS:

@@ -1,0 +1,38 @@
+"""The benchmark under ``bench/`` resolves demandnet functions by name.
+
+These checks fail in the ordinary test run when a rename or deletion in
+``src/`` breaks what the benchmark's tracer or workloads look up, instead of
+only when the benchmark itself runs.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+import demandnet as dn
+from demandnet.pipeline import PipelineConfig
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_tracer_installs_and_counts_on_a_tiny_panel():
+    bundles = dn.synth_generate(dn.SynthConfig(series_count=3, length=120), seed=0)
+    cfg = PipelineConfig(tau=8, horizons=(4,))
+    original = dn.data.make_windows
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        loss = workloads.naive_val_loss(bundles, cfg)
+    finally:
+        undo()
+    assert dn.data.make_windows is original
+    assert np.isfinite(loss) and loss > 0.0
+    layers = tracing.per_layer(tracer)
+    # validation origins 96..104 of each 120-day series: 9 windows apiece
+    assert layers["data.make_windows.windows"] == 3 * 9
+    assert layers["data.normalize_bundle.calls_per_series"] == 1.0

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from demandnet.cli import main
+from demandnet.cli import COMMANDS, build_parser, main
 
 SMALL_RUN = {
     "cell": "gru",
@@ -182,3 +182,22 @@ def test_unknown_series_is_a_config_error(pipeline_dir, tmp_path, capsys):
                 "--set", "forecast_series=NOPE")
     assert code == 2
     assert "NOPE" in capsys.readouterr().err
+
+
+def test_divergence_exits_with_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert _run("synth", "--config", cfg, "--out", out) == 0
+    code = _run("train-effects", "--config", cfg, "--out", out,
+                "--set", "effects_train.learning_rate=1e300")
+    assert code == 2
+    assert "error: effects training loss became non-finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "effects.npz"))
+
+
+def test_every_subcommand_has_help_text():
+    listing = " ".join(build_parser().format_help().split())
+    for name, fn in COMMANDS.items():
+        doc = " ".join((fn.__doc__ or "").split())
+        assert doc, name
+        assert f"{name} {doc}" in listing, name

@@ -79,9 +79,9 @@ def test_nested_dict_becomes_train_config():
 
 
 def test_lists_coerce_to_tuples():
-    cfg = dataclass_from_dict(RunConfig, {"horizons": [4, 8], "sae_widths": [16, 8]})
+    cfg = dataclass_from_dict(RunConfig, {"horizons": [4, 8], "held_ids": ["S01", "S02"]})
     assert cfg.horizons == (4, 8)
-    assert cfg.sae_widths == (16, 8)
+    assert cfg.held_ids == ("S01", "S02")
 
 
 def test_type_mismatch_is_a_config_error():
@@ -147,5 +147,4 @@ def test_pipeline_mapping_threads_shared_fields():
     assert pipe.arch.cell == "lstm"
     assert pipe.arch.hidden == 24
     assert pipe.arch.horizon == 12
-    assert pipe.sae.cell == "lstm"
     assert pipe.forecaster_train is cfg.forecaster_train

@@ -22,9 +22,7 @@ from demandnet.data import (
     policy_from_schedule,
     post_shock_ratio,
     split_time,
-    stack_windows,
     synth_generate,
-    windows_in_range,
     write_dataset_csv,
     write_sidecar_csv,
 )
@@ -164,36 +162,63 @@ def test_normalize_round_trips(loc, scale):
 
 def test_window_count_matches_formula():
     bundle = build_bundle(length=200)
-    samples = make_windows(bundle, tau=16, horizon=40)
-    assert len(samples) == 200 - 16 - 40 + 1 == 145
+    windows = make_windows(bundle, tau=16, horizon=40)
+    assert len(windows) == 200 - 16 - 40 + 1 == 145
 
 
 def test_window_slices_line_up():
     bundle = build_bundle(length=80)
-    samples = make_windows(bundle, tau=8, horizon=5)
-    first = samples[0]
-    assert first.origin == 8
+    windows = make_windows(bundle, tau=8, horizon=5)
+    assert windows.origins[0] == 8
     panel = bundle.channel_matrix()
-    np.testing.assert_array_equal(first.window, panel[0:8])
-    np.testing.assert_array_equal(first.label, bundle.target[8:13])
-    np.testing.assert_array_equal(first.future_policies, bundle.policy[8:13])
-    assert samples[-1].origin == 75
+    np.testing.assert_array_equal(windows.past[0], panel[0:8])
+    np.testing.assert_array_equal(windows.labels[0], bundle.target[8:13])
+    np.testing.assert_array_equal(windows.policies[0], bundle.policy[8:13])
+    assert windows.origins[-1] == 75
 
 
 def test_windows_in_range_respects_label_end():
     bundle = build_bundle(length=80)
-    samples = make_windows(bundle, tau=8, horizon=5)
-    kept = windows_in_range(samples, last_label_end=20, horizon=5)
-    assert all(s.origin + 5 <= 20 for s in kept)
+    kept = make_windows(bundle, tau=8, horizon=5, span=range(0, 20))
+    assert (kept.origins + 5 <= 20).all()
     assert len(kept) == 8  # origins 8..15
 
 
 def test_stack_windows_shapes():
     bundle = build_bundle(length=80)
-    samples = make_windows(bundle, tau=8, horizon=5)
-    windows, policies, labels = stack_windows(samples)
-    assert windows.shape == (len(samples), 8, 3)
-    assert policies.shape == labels.shape == (len(samples), 5)
+    windows = make_windows(bundle, tau=8, horizon=5)
+    assert windows.past.shape == (len(windows), 8, 3)
+    assert windows.policies.shape == windows.labels.shape == (len(windows), 5)
+    assert windows.past.flags.c_contiguous
+
+
+@given(
+    length=st.integers(min_value=2, max_value=60),
+    tau=st.integers(min_value=1, max_value=20),
+    horizon=st.integers(min_value=1, max_value=20),
+    lo=st.integers(min_value=0, max_value=70),
+    width=st.integers(min_value=0, max_value=70),
+)
+def test_window_span_properties(length, tau, horizon, lo, width):
+    bundle = build_bundle(length=length)
+    if length - tau - horizon + 1 <= 0:
+        with pytest.raises(ValueError):
+            make_windows(bundle, tau=tau, horizon=horizon)
+        return
+    span = range(lo, lo + width)
+    windows = make_windows(bundle, tau=tau, horizon=horizon, span=span)
+    expected = [o for o in range(tau, length - horizon + 1)
+                if span.start <= o and o + horizon <= span.stop]
+    assert len(windows) == len(expected)
+    assert windows.origins.tolist() == expected
+    panel = bundle.channel_matrix()
+    for o, past, pol, lab in zip(windows.origins, windows.past, windows.policies,
+                                 windows.labels):
+        np.testing.assert_array_equal(past, panel[o - tau : o])
+        np.testing.assert_array_equal(pol, bundle.policy[o : o + horizon])
+        np.testing.assert_array_equal(lab, bundle.target[o : o + horizon])
+    # no label leaves the span
+    assert ((windows.origins >= span.start) & (windows.origins + horizon <= span.stop)).all()
 
 
 def test_make_windows_rejects_too_short_series():

@@ -9,7 +9,6 @@ from demandnet.effects import (
     marginal_effect,
     policy_delta,
     train_effect_model,
-    with_polynomial,
 )
 from demandnet.nn import DivergenceError, TrainConfig, grad_check
 from demandnet.rngs import stream
@@ -155,12 +154,3 @@ def test_gradients_match_finite_differences():
     y = rng.normal(size=12)
     assert grad_check(model, (X, y), rng=rng) <= 1e-6
 
-
-def test_with_polynomial_returns_annotated_curve():
-    grid = np.linspace(0.0, 1.0, 11)
-    curve = MarginalCurve("policy", grid, 1.0 - grid)
-    fit = fit_polynomial(curve, degree=1)
-    annotated = with_polynomial(curve, fit)
-    assert annotated.polynomial is fit
-    assert annotated.feature == "policy"
-    np.testing.assert_array_equal(annotated.values, curve.values)

@@ -207,8 +207,8 @@ def _window_array(n_series=2, length=120, tau=12):
         mu = panel.mean(axis=0)
         sd = np.where(panel.std(axis=0) == 0, 1.0, panel.std(axis=0))
         panel = (panel - mu) / sd
-        for s in make_windows(b, tau=tau, horizon=1):
-            rows.append(panel[s.origin - tau : s.origin])
+        for origin in make_windows(b, tau=tau, horizon=1).origins:
+            rows.append(panel[origin - tau : origin])
     return np.stack(rows)
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from demandnet.effects import EffectModel, PolynomialFit
+from demandnet.effects import EffectModel, PolynomialFit, policy_delta
 from demandnet.forecaster import (
     ForecasterArch,
     ForecasterModel,
     apply_adjustment,
-    demand_cell_adjust,
     forecast_unseen,
     load_forecaster,
     mc_forecast,
@@ -134,13 +133,8 @@ def test_policy_adjustment_matches_polynomial_exactly():
     em = _linear_effect_model()
     base = np.array([1.0, 1.0, 1.0, 1.0])
     policies = np.array([0.0, 0.25, 0.5, 1.0])
-    got = demand_cell_adjust(base, policies, em, reference=0.0, mode="additive")
+    got = apply_adjustment(base, policy_delta(em, policies, 0.0), "additive")
     assert np.array_equal(got, base + 2.0 * policies)
-
-
-def test_policy_adjustment_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        demand_cell_adjust(np.zeros(4), np.zeros(3), _linear_effect_model())
 
 
 def test_mean_policy_path_clamps_beyond_history():
@@ -352,6 +346,23 @@ def test_unseen_rejects_channel_mismatch(plain_model):
     odd = type(bundle)(**{**bundle.__dict__, "covariate_names": ("policy", "mobility")})
     with pytest.raises(ValueError, match="channels"):
         forecast_unseen(plain_model, odd)
+
+
+def test_forecast_rejects_policy_column_mismatch(plain_model):
+    bundle = build_bundle(length=100, series_id="U6")
+    odd = type(bundle)(**{**bundle.__dict__, "policy_index": 1})
+    with pytest.raises(ValueError, match="policy in channel"):
+        forecast_unseen(plain_model, odd, origin=80)
+
+
+def test_seen_series_forecast_uses_stored_stats_whatever_the_fractions(plain_model):
+    # a series the model trained on keeps its training-time normalization, so
+    # other split fractions cannot move a forecast at an explicit origin
+    bundle = _training_bundles()[0]
+    default = forecast_unseen(plain_model, bundle, origin=80, kappa=4, p=0.1, seed=2)
+    other = forecast_unseen(plain_model, bundle, origin=80, kappa=4, p=0.1, seed=2,
+                            fractions=(0.7, 0.2, 0.1))
+    assert np.array_equal(default.samples, other.samples)
 
 
 def test_unseen_validates_origin_bounds(plain_model):

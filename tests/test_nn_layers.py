@@ -17,8 +17,8 @@ from demandnet.nn import (
     mse_grad,
     penalized_loss,
     sample_dropout_mask,
-    sgd_step,
 )
+from demandnet.forecaster import ForecasterArch
 from demandnet.nn.gradcheck import DenseProbe
 from demandnet.rngs import stream
 
@@ -135,27 +135,27 @@ def test_penalty_never_reduces_the_loss(lam):
 
 
 def test_zero_rate_mask_is_exactly_ones():
-    mask = sample_dropout_mask((128,), 0.0, stream(0, "m"), stream="m")
-    assert (mask.values == 1.0).all()
+    mask = sample_dropout_mask((128,), 0.0, stream(0, "m"))
+    assert (mask == 1.0).all()
 
 
 def test_mask_values_are_zero_or_scaled():
-    mask = sample_dropout_mask((5000,), 0.25, stream(0, "m"), stream="m")
-    vals = np.unique(mask.values)
+    mask = sample_dropout_mask((5000,), 0.25, stream(0, "m"))
+    vals = np.unique(mask)
     assert set(vals.tolist()) <= {0.0, 1.0 / 0.75}
 
 
 def test_mask_keep_fraction_near_rate():
-    mask = sample_dropout_mask((100_000,), 0.5, stream(1, "m"), stream="m")
-    kept = (mask.values > 0).mean()
+    mask = sample_dropout_mask((100_000,), 0.5, stream(1, "m"))
+    kept = (mask > 0).mean()
     assert kept == pytest.approx(0.5, abs=0.01)
     # inverted scaling keeps the expectation at one
-    assert mask.values.mean() == pytest.approx(1.0, abs=0.02)
+    assert mask.mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_mask_rejects_rate_of_one():
     with pytest.raises(ValueError):
-        sample_dropout_mask((4,), 1.0, stream(0, "m"), stream="m")
+        sample_dropout_mask((4,), 1.0, stream(0, "m"))
 
 
 # ----------------------------------------------------------------------------
@@ -164,22 +164,13 @@ def test_mask_rejects_rate_of_one():
 
 def test_sgd_two_steps_on_quadratic():
     # x <- x - 0.1 * 2x twice from x=1 lands on 0.64
-    x = np.array([1.0])
+    x = Parameter("x", np.array([1.0]))
+    opt = Sgd([x], eta=0.1)
     for _ in range(2):
-        (x,) = sgd_step([x], [2.0 * x], eta=0.1)
-    assert x[0] == pytest.approx(0.64, abs=1e-15)
-
-
-def test_sgd_class_matches_free_function():
-    a = Parameter("a", np.array([1.0]))
-    opt = Sgd([a], eta=0.1)
-    b = np.array([1.0])
-    for _ in range(3):
-        a.zero_grad()
-        a.grad += 2.0 * a.value
+        x.zero_grad()
+        x.grad += 2.0 * x.value
         opt.step()
-        (b,) = sgd_step([b], [2.0 * b], eta=0.1)
-    np.testing.assert_allclose(a.value, b, atol=1e-15)
+    assert x.value[0] == pytest.approx(0.64, abs=1e-15)
 
 
 def test_adam_first_step_size_is_the_learning_rate():
@@ -206,23 +197,6 @@ def test_make_optimizer_rejects_unknown_name():
         make_optimizer("lion", [], 0.1)
 
 
-def test_adam_state_round_trip():
-    x = Parameter("x", np.array([1.0, 2.0]))
-    opt = Adam([x], eta=0.05)
-    for _ in range(3):
-        x.zero_grad()
-        x.grad += x.value
-        opt.step()
-    saved = {k: v.copy() for k, v in opt.state_arrays().items()}
-    y = Parameter("x", x.value.copy())
-    opt2 = Adam([y], eta=0.05)
-    opt2.load_state(saved)
-    x.zero_grad(); x.grad += x.value
-    y.zero_grad(); y.grad += y.value
-    opt.step(); opt2.step()
-    np.testing.assert_array_equal(x.value, y.value)
-
-
 # ----------------------------------------------------------------------------
 # training defaults
 
@@ -234,8 +208,8 @@ def test_published_operating_point_is_the_default():
     assert cfg.batch_size == 128
     assert cfg.epochs == 100
     assert cfg.mlp_layers == 2
-    assert cfg.rnn_hidden == 128
-    assert cfg.rnn_layers == 2
+    assert ForecasterArch().hidden == 128
+    assert ForecasterArch().layers == 2
     assert cfg.optimizer == "sgd"
 
 

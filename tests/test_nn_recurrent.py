@@ -4,7 +4,7 @@ import pytest
 from demandnet.nn import GRULayer, LSTMLayer, RecurrentStack, grad_check
 from demandnet.nn.gradcheck import SequenceProbe
 from demandnet.nn.layers import sample_dropout_mask
-from demandnet.nn.recurrent import cell_step, make_cell
+from demandnet.nn.recurrent import make_cell
 from demandnet.rngs import stream
 
 
@@ -48,7 +48,7 @@ def test_gru_single_unit_hand_steps():
 def test_lstm_cell_state_hand_value():
     layer = LSTMLayer(1, 1, rng=stream(0, "t"), name="l")
     _constant_weights(layer)
-    h, state = cell_step(layer, np.ones((1, 1)))
+    h, state = layer.step(np.ones((1, 1)))
     h2, c2 = state
     np.testing.assert_allclose(h, [[LSTM_H1]], atol=1e-14)
     np.testing.assert_allclose(c2, [[LSTM_C1]], atol=1e-14)
@@ -61,7 +61,7 @@ def test_gru_update_gate_saturated_high_returns_candidate():
     b = layer.b.value.reshape(3, -1)
     b[1, :] = 60.0  # z gate bias
     h_prev = np.array([[0.9]])
-    h, _ = cell_step(layer, np.ones((1, 1)), state=h_prev)
+    h, _ = layer.step(np.ones((1, 1)), state=h_prev)
     r = 1.0 / (1.0 + np.exp(-(0.5 + 0.5 * 0.9)))
     n = np.tanh(0.5 + r * 0.5 * 0.9)
     assert h[0, 0] == pytest.approx(n, abs=1e-9)
@@ -72,7 +72,7 @@ def test_forget_gate_saturated_low_clears_lstm_memory():
     _constant_weights(layer)
     b = layer.b.value.reshape(4, -1)
     b[1, :] = -60.0  # f gate shut
-    _, (h1, c1) = cell_step(layer, np.ones((1, 1)), state=(np.zeros((1, 1)), np.full((1, 1), 10.0)))
+    _, (h1, c1) = layer.step(np.ones((1, 1)), state=(np.zeros((1, 1)), np.full((1, 1), 10.0)))
     # c1 = f*10 + i*g with f ~ 0
     i = 1.0 / (1.0 + np.exp(-0.5))
     g = np.tanh(0.5)
@@ -125,17 +125,17 @@ def test_stack_masks_scale_layer_outputs():
     net = RecurrentStack("gru", 1, widths=(6,), rng=rng, name="s")
     X = rng.normal(size=(4, 2, 1))
     base = net.forward(X, cache=False)
-    mask = sample_dropout_mask((6,), 0.5, stream(3, "m"), stream="m")
-    masked = net.forward(X, masks=[mask.values], cache=False)
-    np.testing.assert_allclose(masked, base * mask.values, atol=1e-12)
+    mask = sample_dropout_mask((6,), 0.5, stream(3, "m"))
+    masked = net.forward(X, masks=[mask], cache=False)
+    np.testing.assert_allclose(masked, base * mask, atol=1e-12)
 
 
 def test_zeroed_units_stay_zero_across_time():
     rng = stream(10, "s")
     net = RecurrentStack("lstm", 1, widths=(6,), rng=rng, name="s")
     X = rng.normal(size=(5, 3, 1))
-    mask = sample_dropout_mask((6,), 0.5, stream(4, "m"), stream="m")
-    out = net.forward(X, masks=[mask.values], cache=False)
-    dropped = mask.values == 0.0
+    mask = sample_dropout_mask((6,), 0.5, stream(4, "m"))
+    out = net.forward(X, masks=[mask], cache=False)
+    dropped = mask == 0.0
     assert dropped.any()
     assert (out[:, :, dropped] == 0.0).all()
