@@ -17,7 +17,7 @@ import numpy as np
 
 from .nn.layers import DenseLayer
 from .nn.loss import add_penalty_grads, mse_grad, penalized_loss
-from .nn.optim import DivergenceError, TrainConfig, make_optimizer
+from .nn.optim import TrainConfig, fit
 from .rngs import stream
 
 log = logging.getLogger(__name__)
@@ -98,7 +98,6 @@ class EffectModel:
             prev = w
         self.layers.append(DenseLayer(prev, 1, "identity", rng, name="effects.out"))
         self.feature_means = np.zeros(len(self.feature_names))
-        self.policy_fit: PolynomialFit | None = None
         self.train_history: tuple[float, ...] = ()
 
     def parameters(self):
@@ -120,8 +119,7 @@ class EffectModel:
     def loss(self, batch, with_grads: bool = False) -> float:
         X, y = batch
         pred = self.predict(X, cache=with_grads)
-        weights = [p for p in self.parameters() if p.penalized]
-        value = penalized_loss(pred, y, weights, self.lam)
+        value = penalized_loss(pred, y, self.parameters(), self.lam)
         if with_grads:
             d = mse_grad(pred, y)[:, None]
             for layer in reversed(self.layers):
@@ -163,21 +161,10 @@ def train_effect_model(X, y, feature_names, config: TrainConfig, hidden_width: i
             "effects model has %d parameters for %d rows; fit may be loose",
             n_params, X.shape[0],
         )
-    optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
     history = []
-    for epoch in range(config.epochs):
-        order = stream(config.seed, "effects", "shuffle", epoch).permutation(X.shape[0])
-        for start in range(0, X.shape[0], config.batch_size):
-            rows = order[start : start + config.batch_size]
-            for p in params:
-                p.zero_grad()
-            value = model.loss((X[rows], y[rows]), with_grads=True)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"effects training loss became non-finite at epoch {epoch}"
-                )
-            optimizer.step()
-        history.append(model.loss((X, y), with_grads=False))
+    fit(params, config, "effects", X.shape[0],
+        lambda rows, epoch, step: model.loss((X[rows], y[rows]), with_grads=True),
+        lambda epoch, mean_batch_loss: history.append(model.loss((X, y), with_grads=False)))
     model.train_history = tuple(history)
     return model
 
@@ -211,8 +198,8 @@ def fit_polynomial(curve: MarginalCurve, degree: int = 3) -> PolynomialFit:
 def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     """Predicted demand shift of policy level(s) relative to the reference.
 
-    Uses the attached polynomial summary when one exists, otherwise
-    evaluates the network directly.  Shape-preserving over arrays.
+    Always evaluates the network (a fitted polynomial is an exported summary
+    only).  Shape-preserving over arrays.
     """
     levels = np.asarray(policy_level, dtype=float)
     scalar = levels.ndim == 0
@@ -221,14 +208,11 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
         raise ValueError("policy levels must lie in [0, 1]")
     if not 0.0 <= reference <= 1.0:
         raise ValueError(f"reference policy {reference} outside [0, 1]")
-    if model.policy_fit is not None:
-        values = model.policy_fit(flat) - model.policy_fit(reference)
-    else:
-        col = model.feature_index(model.policy_feature)
-        rows = np.tile(model.feature_means, (flat.size + 1, 1))
-        rows[:-1, col] = flat
-        rows[-1, col] = reference
-        pred = model.predict(rows)
-        values = pred[:-1] - pred[-1]
+    col = model.feature_index(model.policy_feature)
+    rows = np.tile(model.feature_means, (flat.size + 1, 1))
+    rows[:-1, col] = flat
+    rows[-1, col] = reference
+    pred = model.predict(rows)
+    values = pred[:-1] - pred[-1]
     values = values.reshape(levels.shape) if not scalar else float(values[0])
     return values

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SeriesBundle, prepare_bundle
-from .forecaster import ForecasterModel, mc_forecast_batch
+from .forecaster import ForecasterModel, mc_forecast_batch, mc_moments
 from .pipeline import PipelineConfig, train_demandnet
 
 log = logging.getLogger(__name__)
@@ -231,14 +231,13 @@ class MetricSet:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """All cells of one protocol run plus enough context to replay it."""
+    """All cells of one protocol run; the run's config is saved beside it by the CLI."""
 
     protocol: str
     methods: tuple[str, ...]
     horizons: tuple[int, ...]
     seeds: tuple[int, ...]
     cells: dict
-    config_snapshot: dict = field(default_factory=dict)
     # (method, seed) -> (hash before eval, hash after); evaluation must not
     # touch parameters, so the pair is expected to be equal
     param_hashes: dict = field(default_factory=dict)
@@ -361,11 +360,7 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
         for t in origins
     ])
     samples = mc_forecast_batch(model, windows, policies, kappa=kappa, p=p, seed=seed)
-    means = samples.mean(axis=0)
-    if bool((samples == samples[0]).all()):
-        sds = np.zeros_like(means)
-    else:
-        sds = samples.std(axis=0)
+    means, sds = mc_moments(samples)
     rows = {}
     valid = _per_origin_rows(horizons, origins, bundle.length)
     for h in horizons:
@@ -473,7 +468,6 @@ def _run_protocol(protocol: str, train_bundles, eval_bundles, methods, horizons,
         horizons=horizons,
         seeds=seeds,
         cells=cells,
-        config_snapshot=cfg.snapshot(),
         param_hashes=param_hashes,
     )
 

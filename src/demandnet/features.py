@@ -13,7 +13,6 @@ the code alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,9 @@ import numpy as np
 from .data import SeriesBundle, post_shock_ratio
 from .nn.layers import DenseLayer
 from .nn.loss import add_penalty_grads, mse_grad, penalized_loss
-from .nn.optim import TrainConfig, make_optimizer
+from .nn.optim import TrainConfig, fit
 from .nn.recurrent import RecurrentStack
 from .rngs import stream
-
-log = logging.getLogger(__name__)
 
 
 def rank_with_ties(values) -> np.ndarray:
@@ -171,8 +168,15 @@ class SaeTraining:
     train_history: tuple[float, ...]
     val_history: tuple[float, ...]
     threshold: float
-    stop_reason: str  # "threshold", "epochs", or "diverged"
-    epochs_run: int
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.val_history)
+
+    @property
+    def stop_reason(self) -> str:
+        """Why training stopped: "threshold" (held-out error reached it) or "epochs"."""
+        return "threshold" if self.val_history[-1] <= self.threshold else "epochs"
 
 
 class StackedAutoencoder:
@@ -255,8 +259,7 @@ class StackedAutoencoder:
         """Reconstruction MSE plus the L2 weight penalty over a (B, tau, C) batch."""
         batch = np.asarray(batch, dtype=float)
         recon = self.reconstruct(batch, cache=with_grads)
-        weights = [p for p in self.parameters() if p.penalized]
-        value = penalized_loss(recon, batch, weights, self.lam)
+        value = penalized_loss(recon, batch, self.parameters(), self.lam)
         if with_grads:
             dR = mse_grad(recon, batch)  # (B, tau, C)
             dflat = self.readout.backward(
@@ -294,9 +297,9 @@ def train_autoencoder(windows, config: TrainConfig, arch: SaeArch,
     """Train the autoencoder until held-out reconstruction MSE drops below
     ``threshold_ratio`` times the input variance, or the epoch budget runs out.
 
-    Every fifth window is held out for the stop test.  On a non-finite loss
-    the model reverts to the last finite epoch and stops with reason
-    "diverged".  The outcome (histories, threshold, reason) is recorded on
+    Every fifth window is held out for the stop test.  A diverging run raises
+    :class:`~demandnet.nn.DivergenceError`, as every trainer does.  The
+    outcome (histories, threshold, stop reason) is recorded on
     ``model.training``.
     """
     all_windows = _as_window_array(windows)
@@ -316,44 +319,18 @@ def train_autoencoder(windows, config: TrainConfig, arch: SaeArch,
         channels=all_windows.shape[2], tau=all_windows.shape[1], arch=arch,
         rng=rng, lam=config.weight_decay,
     )
-    params = model.parameters()
-    optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
-
     train_history, val_history = [], []
-    stop_reason = "epochs"
-    epochs_run = 0
-    snapshot = [p.value.copy() for p in params]
-    for epoch in range(config.epochs):
-        order = stream(config.seed, "sae", "shuffle", epoch).permutation(train_idx.size)
-        diverged = False
-        for start in range(0, train_idx.size, config.batch_size):
-            batch = train_w[order[start : start + config.batch_size]]
-            for p in params:
-                p.zero_grad()
-            value = model.loss(batch, with_grads=True)
-            if not np.isfinite(value):
-                diverged = True
-                break
-            optimizer.step()
-        if diverged:
-            for p, saved in zip(params, snapshot):
-                p.value[...] = saved
-            stop_reason = "diverged"
-            break
-        snapshot = [p.value.copy() for p in params]
-        epochs_run = epoch + 1
+
+    def end_epoch(epoch, mean_batch_loss):
         train_history.append(model.loss(train_w, with_grads=False))
         val_history.append(model.reconstruction_mse(val_w))
-        if val_history[-1] <= threshold:
-            stop_reason = "threshold"
-            break
+        return val_history[-1] <= threshold
+
+    fit(model.parameters(), config, "sae", train_idx.size,
+        lambda rows, epoch, step: model.loss(train_w[rows], with_grads=True), end_epoch)
     model.training = SaeTraining(
         train_history=tuple(train_history),
         val_history=tuple(val_history),
         threshold=threshold,
-        stop_reason=stop_reason,
-        epochs_run=epochs_run,
     )
-    if stop_reason == "diverged":
-        log.warning("autoencoder training diverged after %d epochs; reverted", epochs_run)
     return model

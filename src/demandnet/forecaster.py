@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import NormStats, SeriesBundle, Windows, make_windows, prepare_bundle, split_time
-from .effects import EffectModel, PolynomialFit, policy_delta
+from .effects import EffectModel, policy_delta
 from .nn.checkpoint import (
+    CheckpointError,
     load_checkpoint,
     load_params_from_arrays,
     params_to_arrays,
@@ -28,7 +29,7 @@ from .nn.checkpoint import (
 )
 from .nn.layers import DenseLayer, sample_dropout_mask
 from .nn.loss import add_penalty_grads, mse_grad, penalized_loss
-from .nn.optim import DivergenceError, TrainConfig, make_optimizer
+from .nn.optim import TrainConfig, fit
 from .nn.recurrent import RecurrentStack
 from .rngs import stream
 
@@ -185,8 +186,7 @@ class ForecasterModel:
         labels = np.asarray(labels, dtype=float)
         base = self._forward_base(windows, masks=masks, cache=with_grads)
         adjusted = apply_adjustment(base, delta, self.arch.adjust_mode)
-        weights = [p for p in self.parameters() if p.penalized]
-        value = penalized_loss(adjusted, labels, weights, self.lam)
+        value = penalized_loss(adjusted, labels, self.parameters(), self.lam)
         if with_grads:
             dadj = mse_grad(adjusted, labels)
             dbase = dadj if self.arch.adjust_mode == "additive" else dadj * (1.0 + delta)
@@ -253,7 +253,6 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
         raise ValueError(f"no training windows: series too short for tau={tau} "
                          f"horizon={arch.horizon}")
     W_tr, P_tr, Y_tr = train.past, train.policies, train.labels
-    has_val = bool(len(val))
 
     model = ForecasterModel(
         arch, tau, channel_names, policy_channel, effect_model=effect_model,
@@ -263,46 +262,38 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     model.mean_policy = policy_sum / np.maximum(policy_count, 1.0)
 
     delta_tr = model.policy_deltas(P_tr)
-    delta_va = model.policy_deltas(val.policies) if has_val else None
+    # without validation windows the best epoch is picked on the training windows
+    scored = ((val.past, model.policy_deltas(val.policies), val.labels) if len(val)
+              else (W_tr, delta_tr, Y_tr))
 
     params = model.parameters()
-    optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
-    n = W_tr.shape[0]
     widths = (arch.hidden,) * arch.layers
     train_history, val_history = [], []
     best = ([p.value.copy() for p in params], np.inf, -1)
-    for epoch in range(config.epochs):
-        order = stream(config.seed, "forecaster", "shuffle", epoch).permutation(n)
-        epoch_loss, batches = 0.0, 0
-        for step, start in enumerate(range(0, n, config.batch_size)):
-            rows = order[start : start + config.batch_size]
-            masks = None
-            if arch.dropout > 0.0:
-                masks = [
-                    sample_dropout_mask(
-                        (rows.size, w), arch.dropout,
-                        stream(config.seed, "forecaster", "dropout", epoch, step, l),
-                    )
-                    for l, w in enumerate(widths)
-                ]
-            for p in params:
-                p.zero_grad()
-            value = model._loss_with_delta(
-                W_tr[rows], delta_tr[rows], Y_tr[rows], masks=masks, with_grads=True
-            )
-            if not np.isfinite(value):
-                raise DivergenceError(f"forecaster loss became non-finite at epoch {epoch}")
-            optimizer.step()
-            epoch_loss += value
-            batches += 1
-        train_history.append(epoch_loss / batches)
-        if has_val:
-            score = model._loss_with_delta(val.past, delta_va, val.labels, with_grads=False)
-        else:
-            score = model._loss_with_delta(W_tr, delta_tr, Y_tr, with_grads=False)
+
+    def batch_loss(rows, epoch, step):
+        masks = None
+        if arch.dropout > 0.0:
+            masks = [
+                sample_dropout_mask(
+                    (rows.size, w), arch.dropout,
+                    stream(config.seed, "forecaster", "dropout", epoch, step, l),
+                )
+                for l, w in enumerate(widths)
+            ]
+        return model._loss_with_delta(
+            W_tr[rows], delta_tr[rows], Y_tr[rows], masks=masks, with_grads=True
+        )
+
+    def end_epoch(epoch, mean_batch_loss):
+        nonlocal best
+        train_history.append(mean_batch_loss)
+        score = model._loss_with_delta(*scored, with_grads=False)
         val_history.append(score)
         if score < best[1]:
             best = ([p.value.copy() for p in params], score, epoch)
+
+    fit(params, config, "forecaster", W_tr.shape[0], batch_loss, end_epoch)
     for p, value in zip(params, best[0]):
         p.value[...] = value
     model.training = ForecasterTraining(
@@ -363,16 +354,15 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     return apply_adjustment(base, delta[None, :, :], model.arch.adjust_mode)
 
 
-def _distribution(samples: np.ndarray, p: float, kappa: int) -> ForecastDistribution:
-    mean = samples.mean(axis=0)
+def mc_moments(samples: np.ndarray):
+    """Per-step ``(mean, sd)`` of MC samples over their leading (pass) axis.
+
+    When every pass drew the same paths (e.g. p = 0 or kappa = 1) the mean
+    is that path and the spread is exactly zero, not a rounding residue.
+    """
     if bool((samples == samples[0]).all()):
-        # all passes drew identical paths (e.g. p = 0 or kappa = 1): the
-        # spread is exactly zero, not a rounding residue
-        mean = samples[0].copy()
-        sd = np.zeros_like(mean)
-    else:
-        sd = samples.std(axis=0)
-    return ForecastDistribution(samples=samples, mean=mean, sd=sd, p=p, kappa=kappa)
+        return samples[0].copy(), np.zeros_like(samples[0])
+    return samples.mean(axis=0), samples.std(axis=0)
 
 
 def mc_forecast(model: ForecasterModel, window: np.ndarray, policies,
@@ -384,7 +374,8 @@ def mc_forecast(model: ForecasterModel, window: np.ndarray, policies,
     pol = _as_policy_array(policies, model.arch.horizon)
     p_used = _resolve_p(model, p)
     samples = mc_forecast_batch(model, window[None], pol[None], kappa, p_used, seed)[:, 0, :]
-    return _distribution(samples, p_used, kappa)
+    mean, sd = mc_moments(samples)
+    return ForecastDistribution(samples=samples, mean=mean, sd=sd, p=p_used, kappa=kappa)
 
 
 def variance_vs_truth(dist: ForecastDistribution, truth: np.ndarray) -> np.ndarray:
@@ -416,8 +407,7 @@ def optimize_dropout(model: ForecasterModel, windows: np.ndarray, policies: np.n
     best_p, best_nll = None, np.inf
     for cand in cands:
         samples = mc_forecast_batch(model, W, policies, kappa=kappa, p=cand, seed=seed)
-        mean = samples.mean(axis=0)
-        sd = np.zeros_like(mean) if cand == 0.0 else samples.std(axis=0)
+        mean, sd = mc_moments(samples)
         sigma = sd + 1e-6
         nll = float(np.mean(0.5 * np.log(2.0 * np.pi * sigma**2)
                             + (Y - mean) ** 2 / (2.0 * sigma**2)))
@@ -471,22 +461,17 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
 # Checkpointing
 
 
+_EFFECTS_FIELDS = ("feature_names", "widths", "lam", "policy_feature")
+
+
 def effects_meta(em: EffectModel | None):
     if em is None:
         return None
-    fit = None
-    if em.policy_fit is not None:
-        fit = {
-            "coefficients": [float(c) for c in em.policy_fit.coefficients],
-            "degree": em.policy_fit.degree,
-            "max_residual": em.policy_fit.max_residual,
-        }
     return {
         "feature_names": list(em.feature_names),
         "widths": list(em.widths),
         "lam": em.lam,
         "policy_feature": em.policy_feature,
-        "policy_fit": fit,
     }
 
 
@@ -497,6 +482,12 @@ def effects_to_arrays(em: EffectModel, prefix: str = "effects::") -> dict:
 
 
 def effects_from_meta(meta: dict, arrays: dict, prefix: str = "effects::") -> EffectModel:
+    # a field this loader would ignore (such as the policy polynomial older
+    # files could carry, which drove their forecasts) must not be dropped
+    # silently; older files store it as null
+    ignored = sorted(k for k, v in meta.items() if k not in _EFFECTS_FIELDS and v is not None)
+    if ignored:
+        raise CheckpointError(f"effects model carries unsupported fields {ignored}")
     em = EffectModel(
         tuple(meta["feature_names"]), tuple(meta["widths"]),
         lam=meta["lam"], policy_feature=meta["policy_feature"],
@@ -507,13 +498,6 @@ def effects_from_meta(meta: dict, arrays: dict, prefix: str = "effects::") -> Ef
     }
     load_params_from_arrays(em.parameters(), named)
     em.feature_means = np.asarray(named["feature_means"], dtype=float)
-    if meta.get("policy_fit"):
-        fit = meta["policy_fit"]
-        em.policy_fit = PolynomialFit(
-            coefficients=np.asarray(fit["coefficients"], dtype=float),
-            degree=int(fit["degree"]),
-            max_residual=float(fit["max_residual"]),
-        )
     return em
 
 

@@ -65,8 +65,7 @@ class DenseProbe:
 
     def loss(self, x, with_grads: bool = False) -> float:
         out = self.layer.forward(x, cache=with_grads)
-        weights = [p for p in self.parameters() if p.penalized]
-        value = penalized_loss(out, self.target, weights, self.lam)
+        value = penalized_loss(out, self.target, self.parameters(), self.lam)
         if with_grads:
             self.layer.backward(mse_grad(out, self.target))
             add_penalty_grads(self.parameters(), self.lam)
@@ -86,8 +85,7 @@ class SequenceProbe:
 
     def loss(self, X, with_grads: bool = False) -> float:
         H = self.module.forward(X, cache=with_grads)
-        weights = [p for p in self.parameters() if p.penalized]
-        value = penalized_loss(H, self.target, weights, self.lam)
+        value = penalized_loss(H, self.target, self.parameters(), self.lam)
         if with_grads:
             self.module.backward(mse_grad(H, self.target))
             add_penalty_grads(self.parameters(), self.lam)

@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def _weight_arrays(weights):
-    arrays = []
-    for w in weights:
-        arrays.append(w.value if hasattr(w, "value") else np.asarray(w, dtype=float))
-    return arrays
-
-
 def penalized_loss(pred: np.ndarray, truth: np.ndarray, weights=(), lam: float = 0.0) -> float:
     """Mean squared error plus ``lam`` times the sum of squared weights.
 
-    ``weights`` may be arrays or Parameter objects; biases are excluded by
-    simply not passing them.
+    ``weights`` is a model's Parameter list; only the ``penalized`` ones
+    (not the biases) enter the penalty.
     """
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -25,8 +18,9 @@ def penalized_loss(pred: np.ndarray, truth: np.ndarray, weights=(), lam: float =
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     loss = float(np.mean((pred - truth) ** 2))
-    for w in _weight_arrays(weights):
-        loss += lam * float(np.sum(w * w))
+    for w in weights:
+        if w.penalized:
+            loss += lam * float(np.sum(w.value * w.value))
     return loss
 
 

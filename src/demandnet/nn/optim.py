@@ -1,11 +1,26 @@
-"""Training configuration and first-order optimizers."""
+"""Training configuration, first-order optimizers and the one training loop.
+
+:func:`fit` is the minibatch loop every trainer in the package runs: each
+epoch visits the rows in the order of the ``(seed, tag, "shuffle", epoch)``
+stream, ``batch_size`` rows at a time; per batch it zeroes the gradients,
+asks the caller for the batch loss (which also fills the gradients), and
+steps the optimizer.  After each epoch it hands the mean batch loss to the
+caller's bookkeeping, which may stop training early.
+
+It also owns the divergence policy.  An epoch runs with numpy overflow and
+invalid-value errors raised instead of warned, and a non-finite loss, a
+non-finite gradient or a floating-point error all end training with one
+:class:`DivergenceError` naming the stage (``tag``), the epoch and the cause.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from ..rngs import stream
 from .layers import Parameter
 
 
@@ -97,3 +112,38 @@ def make_optimizer(name: str, params: list[Parameter], eta: float):
     if name == "adam":
         return Adam(params, eta)
     raise ValueError(f"unknown optimizer {name!r}")
+
+
+def fit(params: list[Parameter], config: TrainConfig, tag: str, n_rows: int,
+        batch_loss: Callable[[np.ndarray, int, int], float],
+        end_epoch: Callable[[int, float], bool | None]):
+    """Train ``params`` with ``config`` over ``n_rows`` training rows.
+
+    ``batch_loss(rows, epoch, step)`` returns the loss on the given row
+    indices and accumulates its gradients; ``end_epoch(epoch, mean_loss)``
+    records the epoch and returns true to stop.  Raises
+    :class:`DivergenceError` as described in the module docstring.
+    """
+    if n_rows < 1:
+        raise ValueError(f"{tag}: no training rows")
+    optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
+    for epoch in range(config.epochs):
+        order = stream(config.seed, tag, "shuffle", epoch).permutation(n_rows)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                total = 0.0
+                for step, start in enumerate(range(0, n_rows, config.batch_size)):
+                    for p in params:
+                        p.zero_grad()
+                    value = batch_loss(order[start : start + config.batch_size], epoch, step)
+                    if not np.isfinite(value):
+                        raise DivergenceError(f"loss {value}")
+                    optimizer.step()
+                    total += value
+                stop = end_epoch(epoch, total / (step + 1))
+        except (DivergenceError, FloatingPointError) as exc:
+            raise DivergenceError(
+                f"{tag} training loss became non-finite at epoch {epoch} ({exc})"
+            ) from exc
+        if stop:
+            return

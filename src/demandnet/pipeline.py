@@ -9,7 +9,7 @@ model, forecaster, dropout-rate selection).
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class PipelineConfig:
     @property
     def model_horizon(self) -> int:
         return max(self.horizons)
-
-    def snapshot(self) -> dict:
-        return asdict(self)
 
 
 def screen_statics(bundles: list[SeriesBundle], cfg: PipelineConfig) -> CorrelationReport | None:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -193,6 +194,23 @@ def test_divergence_exits_with_usage_error(tmp_path, capsys):
     assert code == 2
     assert "error: effects training loss became non-finite" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "effects.npz"))
+
+
+def test_divergence_reports_one_error_line_and_no_numpy_warnings(tmp_path, capsys):
+    # pytest's own warning capture keeps numpy warnings out of capsys, so
+    # record them explicitly
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert _run("synth", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run("train-effects", "--config", cfg, "--out", out,
+                    "--set", "effects_train.learning_rate=1e300")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_every_subcommand_has_help_text():

@@ -112,18 +112,6 @@ def test_policy_delta_validates_range(trained_model):
         policy_delta(model, -0.1)
 
 
-def test_attached_polynomial_drives_the_delta(trained_model):
-    model = trained_model
-    curve = marginal_effect(model, "policy", np.linspace(0.0, 1.0, 51))
-    fit = fit_polynomial(curve, degree=3)
-    model.policy_fit = fit
-    try:
-        got = policy_delta(model, 0.6, reference=0.1)
-        assert got == pytest.approx(fit(0.6) - fit(0.1), abs=1e-12)
-    finally:
-        model.policy_fit = None
-
-
 def test_unknown_feature_rejected(trained_model):
     model = trained_model
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from demandnet.features import (
     spearman,
     train_autoencoder,
 )
-from demandnet.nn import TrainConfig, grad_check
+from demandnet.nn import DivergenceError, TrainConfig, grad_check
 from demandnet.rngs import stream
 from tests.conftest import build_bundle
 
@@ -245,16 +245,12 @@ def test_autoencoder_threshold_stop_reports_reason():
     assert model.training.epochs_run < 50
 
 
-def test_autoencoder_divergence_reverts_to_finite_parameters():
+def test_autoencoder_divergence_raises():
     W = _window_array()
     tc = TrainConfig(optimizer="sgd", learning_rate=1e40, epochs=4,
                      batch_size=64, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = train_autoencoder(W, tc, SaeArch(widths=(6,), bottleneck=2),
-                                  threshold_ratio=1e-9)
-    assert model.training.stop_reason == "diverged"
-    for p in model.parameters():
-        assert np.isfinite(p.value).all()
+    with pytest.raises(DivergenceError, match="sae training loss became non-finite at epoch"):
+        train_autoencoder(W, tc, SaeArch(widths=(6,), bottleneck=2), threshold_ratio=1e-9)
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demandnet.effects import EffectModel, PolynomialFit, policy_delta
+from demandnet.effects import EffectModel, marginal_effect, policy_delta
 from demandnet.forecaster import (
     ForecasterArch,
     ForecasterModel,
@@ -15,7 +15,14 @@ from demandnet.forecaster import (
     train_forecaster,
     variance_vs_truth,
 )
-from demandnet.nn import DivergenceError, TrainConfig, grad_check
+from demandnet.nn import (
+    CheckpointError,
+    DivergenceError,
+    TrainConfig,
+    grad_check,
+    load_checkpoint,
+    save_checkpoint,
+)
 from demandnet.rngs import stream
 
 from conftest import build_bundle
@@ -24,11 +31,8 @@ TAU = 8
 HORIZON = 6
 
 
-def _linear_effect_model():
-    # Polynomial summary attached, so the delta is exactly 2 * policy.
-    em = EffectModel(("policy", "cases"), widths=(4,), rng=stream(0, "em"))
-    em.policy_fit = PolynomialFit(coefficients=(0.0, 2.0), degree=1, max_residual=0.0)
-    return em
+def _effect_model():
+    return EffectModel(("policy", "cases"), widths=(4,), rng=stream(0, "em"))
 
 
 def _training_bundles():
@@ -63,7 +67,7 @@ def plain_model():
 def skip_model():
     arch = ForecasterArch(cell="lstm", hidden=8, layers=1, horizon=HORIZON,
                           dropout=0.1, use_policy_skip=True)
-    return _train(arch=arch, effect_model=_linear_effect_model())
+    return _train(arch=arch, effect_model=_effect_model())
 
 
 # ----------------------------------------------------------------------------
@@ -129,12 +133,14 @@ def test_adjustment_rejects_unknown_mode():
         apply_adjustment(np.zeros(2), np.zeros(2), "subtractive")
 
 
-def test_policy_adjustment_matches_polynomial_exactly():
-    em = _linear_effect_model()
+def test_policy_adjustment_follows_the_marginal_effect():
+    em = _effect_model()
     base = np.array([1.0, 1.0, 1.0, 1.0])
     policies = np.array([0.0, 0.25, 0.5, 1.0])
     got = apply_adjustment(base, policy_delta(em, policies, 0.0), "additive")
-    assert np.array_equal(got, base + 2.0 * policies)
+    curve = marginal_effect(em, "policy", np.array([0.0, *policies]))
+    np.testing.assert_allclose(got, base + curve.values[1:] - curve.values[0],
+                               rtol=0, atol=1e-12)
 
 
 def test_mean_policy_path_clamps_beyond_history():
@@ -298,13 +304,25 @@ def test_checkpoint_round_trip_is_bit_identical(skip_model, tmp_path):
     assert loaded.mc_p == 0.2
     assert np.array_equal(loaded.mean_policy, skip_model.mean_policy)
     assert set(loaded.norm_stats) == set(skip_model.norm_stats)
-    fit = loaded.effect_model.policy_fit
-    assert np.array_equal(np.asarray(fit.coefficients, dtype=float), [0.0, 2.0])
 
     bundle = _training_bundles()[1]
     before = forecast_unseen(skip_model, bundle, kappa=8, p=0.2, seed=4)
     after = forecast_unseen(loaded, bundle, kappa=8, p=0.2, seed=4)
     assert np.array_equal(before.samples, after.samples)
+
+
+def test_checkpoint_with_a_policy_polynomial_is_refused(skip_model, tmp_path):
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    meta["effects"]["policy_fit"] = None  # how older files store "no polynomial"
+    save_checkpoint(path, "forecaster", meta, arrays)
+    assert load_forecaster(path).param_hash() == skip_model.param_hash()
+    meta["effects"]["policy_fit"] = {"coefficients": [0.0, 2.0], "degree": 1,
+                                     "max_residual": 0.0}
+    save_checkpoint(path, "forecaster", meta, arrays)
+    with pytest.raises(CheckpointError, match="policy_fit"):
+        load_forecaster(path)
 
 
 # ----------------------------------------------------------------------------
