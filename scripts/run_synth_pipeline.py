@@ -36,8 +36,10 @@ def main() -> int:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="extra config overrides (repeatable)")
     parser.add_argument("--published-scale", action="store_true",
-                        help="drop the desk-scale overrides and use the "
-                             "package defaults (much slower)")
+                        help="drop the desk-scale overrides only, so every "
+                             "stage runs at the RunConfig() defaults (2x48, 30 "
+                             "forecaster epochs; slower, and still not the "
+                             "published 2x128/100-epoch point)")
     args = parser.parse_args()
 
     overrides = [] if args.published_scale else list(DESK_SCALE)

@@ -11,7 +11,6 @@ dropout.  Everything numeric is float64 numpy with hand-written gradients.
 __version__ = "0.1.0"
 
 from .data import (
-    CsvSchema,
     DataError,
     DatasetSplit,
     GapError,

@@ -119,8 +119,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     """Generate a seeded synthetic panel and its dataset manifest."""
     bundles = synth_generate(cfg.synth, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    data_path = os.path.join(cfg.out_dir, "data.csv")
-    sidecar_path = os.path.join(cfg.out_dir, "sidecar.csv")
+    # absolute, so later commands find the files from any working directory
+    data_path = os.path.abspath(os.path.join(cfg.out_dir, "data.csv"))
+    sidecar_path = os.path.abspath(os.path.join(cfg.out_dir, "sidecar.csv"))
     tmpdir = tempfile.mkdtemp(dir=cfg.out_dir)
     try:
         write_dataset_csv(bundles, os.path.join(tmpdir, "d.csv"))
@@ -153,8 +154,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     _write_json(_manifest_path(cfg), {
         "kind": "demandnet-manifest",
         "command": "ingest",
-        "data_csv": cfg.data_csv,
-        "sidecar_csv": cfg.sidecar_csv,
+        "data_csv": os.path.abspath(cfg.data_csv),
+        "sidecar_csv": None if cfg.sidecar_csv is None else os.path.abspath(cfg.sidecar_csv),
         "series_ids": [b.id for b in bundles],
         "seed": cfg.seed,
     })

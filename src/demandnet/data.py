@@ -158,21 +158,16 @@ class NormStats:
     """Per-channel z-score statistics fitted on the training range only.
 
     Channel 0 is the target, channels ``1..M`` the covariates.  Constant
-    channels get scale 1.0 and a flag; identity channels (e.g. the policy
-    index, which must stay in raw [0, 1] units) get location 0 / scale 1.
+    channels get scale 1.0; identity channels (e.g. the policy index, which
+    must stay in raw [0, 1] units) get location 0 / scale 1.
     """
 
     location: np.ndarray
     scale: np.ndarray
-    constant: np.ndarray
-    identity: np.ndarray
-    fitted_range: range
 
     def __post_init__(self):
         object.__setattr__(self, "location", _frozen_array(self.location, ndim=1))
         object.__setattr__(self, "scale", _frozen_array(self.scale, ndim=1))
-        object.__setattr__(self, "constant", _frozen_array(self.constant, dtype=bool, ndim=1))
-        object.__setattr__(self, "identity", _frozen_array(self.identity, dtype=bool, ndim=1))
         if not (self.scale > 0).all():
             raise ValueError("scales must be strictly positive")
 
@@ -209,17 +204,12 @@ def fit_norm_stats(
     panel = bundle.channel_matrix()[split.train.start : split.train.stop]
     location = panel.mean(axis=0)
     scale = panel.std(axis=0)
-    constant = scale == 0.0
-    scale = np.where(constant, 1.0, scale)
-    identity = np.zeros(panel.shape[1], dtype=bool)
+    scale[scale == 0.0] = 1.0
     for ch in identity_channels:
         if not 0 <= ch < panel.shape[1]:
             raise ValueError(f"identity channel {ch} out of range")
-        identity[ch] = True
-    location = np.where(identity, 0.0, location)
-    scale = np.where(identity, 1.0, scale)
-    constant = constant & ~identity
-    return NormStats(location, scale, constant, identity, split.train)
+        location[ch], scale[ch] = 0.0, 1.0
+    return NormStats(location, scale)
 
 
 def prepare_bundle(bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
@@ -313,16 +303,6 @@ def post_shock_ratio(target: np.ndarray, onset: int) -> float:
 # CSV ingestion
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names for the long-format panel CSV."""
-
-    series_id: str = "series_id"
-    date: str = "date"
-    target: str = "target"
-    policy: str = "policy"
-
-
 def _parse_date(text: str, where: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
@@ -340,9 +320,16 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
+def _open_csv(path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open ({exc.strerror or exc})") from exc
+
+
 def load_sidecar(path, expected_ids=None) -> dict[str, dict[str, float]]:
     """Load the static-feature sidecar CSV keyed by series id."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -370,26 +357,27 @@ def load_sidecar(path, expected_ids=None) -> dict[str, dict[str, float]]:
     return profiles
 
 
-def load_dataset(path, schema: CsvSchema = CsvSchema(), sidecar=None) -> list[SeriesBundle]:
+def load_dataset(path, sidecar=None) -> list[SeriesBundle]:
     """Load a long-format panel CSV into one bundle per series.
 
-    Rows may arrive in any order; each series is sorted by date and must then
-    be contiguous daily.  All numeric cells must parse and be finite, and the
-    policy column must stay within [0, 1].
+    The columns ``series_id``, ``date``, ``target`` and ``policy`` are
+    required; every other column is a covariate.  Rows may arrive in any
+    order; each series is sorted by date and must then be contiguous daily.
+    All numeric cells must parse and be finite, and the policy column must
+    stay within [0, 1].
     """
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file")
-        for col in (schema.series_id, schema.date, schema.target):
+        for col in ("series_id", "date", "target"):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        reserved = {schema.series_id, schema.date, schema.target}
-        covariate_names = tuple(c for c in header if c not in reserved)
-        if schema.policy not in covariate_names:
-            raise SchemaError(f"{path}: missing required column {schema.policy!r}")
-        policy_index = covariate_names.index(schema.policy)
+        covariate_names = tuple(c for c in header if c not in ("series_id", "date", "target"))
+        if "policy" not in covariate_names:
+            raise SchemaError(f"{path}: missing required column 'policy'")
+        policy_index = covariate_names.index("policy")
         col_of = {name: header.index(name) for name in header}
         rows_by_id: dict[str, list] = {}
         for lineno, row in enumerate(reader, start=2):
@@ -397,9 +385,9 @@ def load_dataset(path, schema: CsvSchema = CsvSchema(), sidecar=None) -> list[Se
                 raise ParseError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            sid = row[col_of[schema.series_id]]
-            date = _parse_date(row[col_of[schema.date]], f"{path}:{lineno}:{schema.date}")
-            target = _parse_float(row[col_of[schema.target]], f"{path}:{lineno}:{schema.target}")
+            sid = row[col_of["series_id"]]
+            date = _parse_date(row[col_of["date"]], f"{path}:{lineno}:date")
+            target = _parse_float(row[col_of["target"]], f"{path}:{lineno}:target")
             covs = [
                 _parse_float(row[col_of[name]], f"{path}:{lineno}:{name}")
                 for name in covariate_names
@@ -445,14 +433,14 @@ def load_dataset(path, schema: CsvSchema = CsvSchema(), sidecar=None) -> list[Se
     return bundles
 
 
-def write_dataset_csv(bundles: list[SeriesBundle], path, schema: CsvSchema = CsvSchema()):
+def write_dataset_csv(bundles: list[SeriesBundle], path):
     """Write bundles back to the long-format CSV (deterministic bytes)."""
     if not bundles:
         raise ValueError("no bundles to write")
     names = bundles[0].covariate_names
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([schema.series_id, schema.date, schema.target, *names])
+        writer.writerow(["series_id", "date", "target", *names])
         for bundle in bundles:
             if bundle.covariate_names != names:
                 raise ValueError("bundles disagree on covariate names")

@@ -104,17 +104,15 @@ class EffectModel:
         return [p for layer in self.layers for p in layer.parameters()]
 
     def predict(self, X: np.ndarray, cache: bool = False) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        out = X[None] if squeeze else X
-        if out.shape[1] != len(self.feature_names):
+        """(N, features) rows -> (N,) predicted demand."""
+        out = np.asarray(X, dtype=float)
+        if out.ndim != 2 or out.shape[1] != len(self.feature_names):
             raise ValueError(
-                f"expected {len(self.feature_names)} features, got {out.shape[1]}"
+                f"expected (N, {len(self.feature_names)}) feature rows, got shape {out.shape}"
             )
         for layer in self.layers:
             out = layer.forward(out, cache=cache)
-        out = out[:, 0]
-        return float(out[0]) if squeeze else out
+        return out[:, 0]
 
     def loss(self, batch, with_grads: bool = False) -> float:
         X, y = batch
@@ -199,11 +197,10 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     """Predicted demand shift of policy level(s) relative to the reference.
 
     Always evaluates the network (a fitted polynomial is an exported summary
-    only).  Shape-preserving over arrays.
+    only).  Shape-preserving: a scalar level gives a 0-d array.
     """
     levels = np.asarray(policy_level, dtype=float)
-    scalar = levels.ndim == 0
-    flat = np.atleast_1d(levels).reshape(-1)
+    flat = levels.reshape(-1)
     if flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
         raise ValueError("policy levels must lie in [0, 1]")
     if not 0.0 <= reference <= 1.0:
@@ -213,6 +210,4 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     rows[:-1, col] = flat
     rows[-1, col] = reference
     pred = model.predict(rows)
-    values = pred[:-1] - pred[-1]
-    values = values.reshape(levels.shape) if not scalar else float(values[0])
-    return values
+    return (pred[:-1] - pred[-1]).reshape(levels.shape)

@@ -223,7 +223,6 @@ class MetricSet:
     mae: float
     rmse: float
     sd: float  # mean predictive SD; nan for point baselines
-    n: int  # forecast origins aggregated (across series and seeds)
     mae_denorm: float = float("nan")
     rmse_denorm: float = float("nan")
     per_seed_mae: dict = field(default_factory=dict)
@@ -302,19 +301,16 @@ class _Accumulator:
     def finalize(self, method, horizon) -> MetricSet:
         per_seed = {k: [] for k in ("mae", "rmse", "sd", "mae_denorm", "rmse_denorm")}
         seed_mae = {}
-        n = 0
         for seed, series_rows in sorted(self.by_seed.items()):
             for key in per_seed:
                 per_seed[key].append(float(np.mean([row[key] for row in series_rows])))
             seed_mae[seed] = per_seed["mae"][-1]
-            n += sum(row["n"] for row in series_rows)
         return MetricSet(
             method=method,
             horizon=horizon,
             mae=float(np.mean(per_seed["mae"])),
             rmse=float(np.mean(per_seed["rmse"])),
             sd=float(np.mean(per_seed["sd"])),
-            n=n,
             mae_denorm=float(np.mean(per_seed["mae_denorm"])),
             rmse_denorm=float(np.mean(per_seed["rmse_denorm"])),
             per_seed_mae=seed_mae,
@@ -332,7 +328,6 @@ def _series_metrics(mean_paths, sd_paths, truths, scale) -> dict:
         "sd": float(np.mean(sds)),
         "mae_denorm": float(np.mean(maes)) * scale,
         "rmse_denorm": float(np.mean(rmses)) * scale,
-        "n": len(maes),
     }
 
 

@@ -222,35 +222,27 @@ class StackedAutoencoder:
         return states
 
     def encode(self, windows: np.ndarray, cache: bool = False) -> np.ndarray:
-        """(tau, C) or (B, tau, C) window(s) -> (bottleneck,) or (B, bottleneck)."""
-        windows = np.asarray(windows, dtype=float)
-        squeeze = windows.ndim == 2
-        W = windows[None] if squeeze else windows
+        """(B, tau, C) windows -> (B, bottleneck) codes."""
+        W = np.asarray(windows, dtype=float)
         if W.ndim != 3 or W.shape[1] != self.tau or W.shape[2] != self.channels:
             raise ValueError(
-                f"expected (*, {self.tau}, {self.channels}) windows, got {windows.shape}"
+                f"expected (B, {self.tau}, {self.channels}) windows, got {W.shape}"
             )
-        X = np.transpose(W, (1, 0, 2))
-        H = self.encoder.forward(X, cache=cache)
-        code = self.to_code.forward(H[-1], cache=cache)
-        return code[0] if squeeze else code
+        H = self.encoder.forward(np.transpose(W, (1, 0, 2)), cache=cache)
+        return self.to_code.forward(H[-1], cache=cache)
 
     def decode(self, code: np.ndarray, cache: bool = False) -> np.ndarray:
-        """(bottleneck,) or (B, bottleneck) code(s) -> reconstructed window(s)."""
-        code = np.asarray(code, dtype=float)
-        squeeze = code.ndim == 1
-        U = code[None] if squeeze else code
-        if U.shape[1] != self.arch.bottleneck:
-            raise ValueError(f"expected code width {self.arch.bottleneck}, got {U.shape[1]}")
+        """(B, bottleneck) codes -> (B, tau, C) reconstructed windows."""
+        U = np.asarray(code, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.arch.bottleneck:
+            raise ValueError(f"expected (B, {self.arch.bottleneck}) codes, got {U.shape}")
         B = U.shape[0]
-        expanded = self.expand.forward(U, cache=cache)
-        states = self._split_states(expanded)
+        states = self._split_states(self.expand.forward(U, cache=cache))
         D = self.decoder.forward(
             np.zeros((self.tau, B, 1)), initial_states=states, cache=cache
         )
         flat = self.readout.forward(D.reshape(self.tau * B, -1), cache=cache)
-        out = flat.reshape(self.tau, B, self.channels).transpose(1, 0, 2)
-        return out[0] if squeeze else out
+        return flat.reshape(self.tau, B, self.channels).transpose(1, 0, 2)
 
     def reconstruct(self, windows: np.ndarray, cache: bool = False) -> np.ndarray:
         return self.decode(self.encode(windows, cache=cache), cache=cache)
@@ -282,27 +274,20 @@ class StackedAutoencoder:
         return float(np.mean((recon - windows) ** 2))
 
 
-def _as_window_array(windows) -> np.ndarray:
-    if isinstance(windows, np.ndarray):
-        arr = np.asarray(windows, dtype=float)
-    else:
-        arr = np.stack([np.asarray(w, dtype=float) for w in windows])
-    if arr.ndim != 3:
-        raise ValueError(f"expected (N, tau, C) windows, got shape {arr.shape}")
-    return arr
-
-
 def train_autoencoder(windows, config: TrainConfig, arch: SaeArch,
                       threshold_ratio: float = 0.2) -> StackedAutoencoder:
-    """Train the autoencoder until held-out reconstruction MSE drops below
-    ``threshold_ratio`` times the input variance, or the epoch budget runs out.
+    """Train the autoencoder on an (N, tau, C) window array until held-out
+    reconstruction MSE drops below ``threshold_ratio`` times the input
+    variance, or the epoch budget runs out.
 
     Every fifth window is held out for the stop test.  A diverging run raises
     :class:`~demandnet.nn.DivergenceError`, as every trainer does.  The
     outcome (histories, threshold, stop reason) is recorded on
     ``model.training``.
     """
-    all_windows = _as_window_array(windows)
+    all_windows = np.asarray(windows, dtype=float)
+    if all_windows.ndim != 3:
+        raise ValueError(f"expected (N, tau, C) windows, got shape {all_windows.shape}")
     n = all_windows.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 windows to train, got {n}")

@@ -505,20 +505,14 @@ def _stats_meta(stats: NormStats) -> dict:
     return {
         "location": [float(v) for v in stats.location],
         "scale": [float(v) for v in stats.scale],
-        "constant": [bool(v) for v in stats.constant],
-        "identity": [bool(v) for v in stats.identity],
-        "fitted": [stats.fitted_range.start, stats.fitted_range.stop],
     }
 
 
 def _stats_from_meta(meta: dict) -> NormStats:
-    return NormStats(
-        location=np.asarray(meta["location"], dtype=float),
-        scale=np.asarray(meta["scale"], dtype=float),
-        constant=np.asarray(meta["constant"], dtype=bool),
-        identity=np.asarray(meta["identity"], dtype=bool),
-        fitted_range=range(meta["fitted"][0], meta["fitted"][1]),
-    )
+    # older checkpoints also carry constant/identity/fitted keys; no number
+    # ever depended on them
+    return NormStats(np.asarray(meta["location"], dtype=float),
+                     np.asarray(meta["scale"], dtype=float))
 
 
 def save_forecaster(model: ForecasterModel, path):

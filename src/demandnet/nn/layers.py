@@ -55,30 +55,25 @@ class DenseLayer:
         return [self.W, self.b]
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """(B, in_dim) rows -> (B, out_dim) activations."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = x[None, :] if squeeze else x
-        if x2.ndim != 2 or x2.shape[1] != self.in_dim:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
-                f"dense layer expects (*, {self.in_dim}) input, got shape {x.shape}"
+                f"dense layer expects (B, {self.in_dim}) input, got shape {x.shape}"
             )
-        a = self._act(x2 @ self.W.value + self.b.value)
+        a = self._act(x @ self.W.value + self.b.value)
         if cache:
-            self._x, self._a = x2, a
-        return a[0] if squeeze else a
+            self._x, self._a = x, a
+        return a
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; return gradient w.r.t. the input."""
         if self._a is None:
             raise RuntimeError("forward(cache=True) must run before backward")
-        grad_out = np.asarray(grad_out, dtype=float)
-        squeeze = grad_out.ndim == 1
-        g2 = grad_out[None, :] if squeeze else grad_out
-        dz = g2 * self._act_deriv(self._a)
+        dz = np.asarray(grad_out, dtype=float) * self._act_deriv(self._a)
         self.W.grad += self._x.T @ dz
         self.b.grad += dz.sum(axis=0)
-        dx = dz @ self.W.value.T
-        return dx[0] if squeeze else dx
+        return dz @ self.W.value.T
 
 
 def sample_dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,21 @@
 """LSTM and GRU layers with explicit backpropagation through time.
 
-Sequences are shaped (T, B, features) and hidden states (B, hidden).  Gate
-weights are packed into combined matrices: input weights (in_dim, G*hidden)
-and recurrent weights (hidden, G*hidden), G = 4 for LSTM gates [i, f, g, o]
-and G = 3 for GRU gates [r, z, n].  The GRU candidate applies the reset gate
-to the previous hidden state *before* the recurrent matmul, and the update
-gate blends ``h = (1 - z) * h_prev + z * n`` so forcing z = 1 hands the state
-entirely to the candidate.
+Every cell takes batches only and has one contract:
+
+    forward(X, h0=None, cache=True) -> H    X (T, B, in_dim) -> H (T, B, hidden)
+    backward(dH) -> (dX, dh0)               after forward(cache=True)
+
+``h0`` is the (B, hidden) initial hidden state, zeros when omitted.
+``backward`` takes the gradient on every output, accumulates the parameter
+gradients, and returns the gradients on the input sequence and on ``h0``.
+The LSTM memory cell always starts at zero and stays internal.
+
+Gate weights are packed into combined matrices: input weights
+(in_dim, G*hidden) and recurrent weights (hidden, G*hidden), G = 4 for LSTM
+gates [i, f, g, o] and G = 3 for GRU gates [r, z, n].  The GRU candidate
+applies the reset gate to the previous hidden state *before* the recurrent
+matmul, and the update gate blends ``h = (1 - z) * h_prev + z * n`` so
+forcing z = 1 hands the state entirely to the candidate.
 """
 
 from __future__ import annotations
@@ -27,8 +36,6 @@ def _as_sequence(X: np.ndarray, in_dim: int, name: str) -> np.ndarray:
 class LSTMLayer:
     """Single LSTM layer over a sequence, with cached forward for BPTT."""
 
-    state_size = 2  # (h, c)
-
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
                  name: str = "lstm"):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -42,46 +49,21 @@ class LSTMLayer:
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh, self.b]
 
-    def init_state(self, batch: int):
-        return (np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden)))
-
-    def _gates(self, x, h_prev):
-        h = self.hidden
-        z = x @ self.Wx.value + h_prev @ self.Wh.value + self.b.value
-        i = sigmoid(z[:, :h])
-        f = sigmoid(z[:, h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = sigmoid(z[:, 3 * h :])
-        return i, f, g, o
-
-    def step(self, x: np.ndarray, state=None):
-        """One cell update; returns (output, new_state) with state = (h, c)."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = x[None, :] if squeeze else x
-        if x2.shape[1] != self.in_dim:
-            raise ValueError(f"cell expects input width {self.in_dim}, got {x2.shape[1]}")
-        h_prev, c_prev = state if state is not None else self.init_state(x2.shape[0])
-        h_prev = np.atleast_2d(np.asarray(h_prev, dtype=float))
-        c_prev = np.atleast_2d(np.asarray(c_prev, dtype=float))
-        i, f, g, o = self._gates(x2, h_prev)
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        if squeeze:
-            return h[0], (h[0], c[0])
-        return h, (h, c)
-
-    def forward(self, X: np.ndarray, h0=None, c0=None, cache: bool = True) -> np.ndarray:
+    def forward(self, X: np.ndarray, h0=None, cache: bool = True) -> np.ndarray:
         X = _as_sequence(X, self.in_dim, self.name)
         T, B, _ = X.shape
-        h = np.zeros((B, self.hidden)) if h0 is None else np.asarray(h0, dtype=float)
-        c = np.zeros((B, self.hidden)) if c0 is None else np.asarray(c0, dtype=float)
-        H = np.empty((T, B, self.hidden))
+        k = self.hidden
+        h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
+        c = np.zeros((B, k))
+        H = np.empty((T, B, k))
         if cache:
-            I, F, G, O, TC = (np.empty((T, B, self.hidden)) for _ in range(5))
-            Hprev, Cprev = np.empty((T, B, self.hidden)), np.empty((T, B, self.hidden))
+            I, F, G, O, TC, Hprev, Cprev = (np.empty((T, B, k)) for _ in range(7))
         for t in range(T):
-            i, f, g, o = self._gates(X[t], h)
+            z = X[t] @ self.Wx.value + h @ self.Wh.value + self.b.value
+            i = sigmoid(z[:, :k])
+            f = sigmoid(z[:, k : 2 * k])
+            g = np.tanh(z[:, 2 * k : 3 * k])
+            o = sigmoid(z[:, 3 * k :])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             if cache:
@@ -94,10 +76,8 @@ class LSTMLayer:
             self._cache = dict(X=X, I=I, F=F, G=G, O=O, TC=TC, Hprev=Hprev, Cprev=Cprev)
         return H
 
-    def backward(self, dH: np.ndarray, dh_last=None, dc_last=None):
-        """BPTT given upstream gradients on every output (and optionally on
-        the final states); returns (dX, dh0, dc0) and accumulates parameter
-        gradients."""
+    def backward(self, dH: np.ndarray):
+        """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
         cc = self._cache
@@ -106,8 +86,8 @@ class LSTMLayer:
         T, B, _ = X.shape
         dH = np.asarray(dH, dtype=float)
         dX = np.empty_like(X)
-        dh_next = np.zeros((B, self.hidden)) if dh_last is None else np.asarray(dh_last, float)
-        dc_next = np.zeros((B, self.hidden)) if dc_last is None else np.asarray(dc_last, float)
+        dh_next = np.zeros((B, self.hidden))
+        dc_next = np.zeros((B, self.hidden))
         for t in range(T - 1, -1, -1):
             dh = dH[t] + dh_next
             i, f, g, o, tc = I[t], F[t], G[t], O[t], TC[t]
@@ -126,13 +106,11 @@ class LSTMLayer:
             dX[t] = dz @ self.Wx.value.T
             dh_next = dz @ self.Wh.value.T
             dc_next = dc * f
-        return dX, dh_next, dc_next
+        return dX, dh_next
 
 
 class GRULayer:
     """Single GRU layer; forget and input roles share one update gate."""
-
-    state_size = 1  # (h,)
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
                  name: str = "gru"):
@@ -148,52 +126,29 @@ class GRULayer:
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh_rz, self.Wh_n, self.b]
 
-    def init_state(self, batch: int):
-        return np.zeros((batch, self.hidden))
-
-    def _step_core(self, x, h_prev):
-        h = self.hidden
-        gx = x @ self.Wx.value + self.b.value
-        rz = sigmoid(gx[:, : 2 * h] + h_prev @ self.Wh_rz.value)
-        r, z = rz[:, :h], rz[:, h:]
-        q = r * h_prev
-        n = np.tanh(gx[:, 2 * h :] + q @ self.Wh_n.value)
-        h_new = (1.0 - z) * h_prev + z * n
-        return h_new, r, z, n, q
-
-    def step(self, x: np.ndarray, state=None):
-        """One cell update; returns (output, new_state) with state = h."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = x[None, :] if squeeze else x
-        if x2.shape[1] != self.in_dim:
-            raise ValueError(f"cell expects input width {self.in_dim}, got {x2.shape[1]}")
-        h_prev = self.init_state(x2.shape[0]) if state is None else np.atleast_2d(
-            np.asarray(state, dtype=float)
-        )
-        h_new, *_ = self._step_core(x2, h_prev)
-        if squeeze:
-            return h_new[0], h_new[0]
-        return h_new, h_new
-
     def forward(self, X: np.ndarray, h0=None, cache: bool = True) -> np.ndarray:
         X = _as_sequence(X, self.in_dim, self.name)
         T, B, _ = X.shape
-        h = np.zeros((B, self.hidden)) if h0 is None else np.asarray(h0, dtype=float)
-        H = np.empty((T, B, self.hidden))
+        k = self.hidden
+        h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
+        H = np.empty((T, B, k))
         if cache:
-            R, Z, N, Q, Hprev = (np.empty((T, B, self.hidden)) for _ in range(5))
+            R, Z, N, Q, Hprev = (np.empty((T, B, k)) for _ in range(5))
         for t in range(T):
-            h_new, r, z, n, q = self._step_core(X[t], h)
+            gx = X[t] @ self.Wx.value + self.b.value
+            rz = sigmoid(gx[:, : 2 * k] + h @ self.Wh_rz.value)
+            r, z = rz[:, :k], rz[:, k:]
+            q = r * h
+            n = np.tanh(gx[:, 2 * k :] + q @ self.Wh_n.value)
             if cache:
                 R[t], Z[t], N[t], Q[t], Hprev[t] = r, z, n, q, h
-            h = h_new
+            h = (1.0 - z) * h + z * n
             H[t] = h
         if cache:
             self._cache = dict(X=X, R=R, Z=Z, N=N, Q=Q, Hprev=Hprev)
         return H
 
-    def backward(self, dH: np.ndarray, dh_last=None):
+    def backward(self, dH: np.ndarray):
         """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
@@ -202,7 +157,7 @@ class GRULayer:
         T, B, _ = X.shape
         dH = np.asarray(dH, dtype=float)
         dX = np.empty_like(X)
-        dh_next = np.zeros((B, self.hidden)) if dh_last is None else np.asarray(dh_last, float)
+        dh_next = np.zeros((B, self.hidden))
         for t in range(T - 1, -1, -1):
             dh = dH[t] + dh_next
             r, z, n, q, h_prev = R[t], Z[t], N[t], Q[t], Hprev[t]
@@ -285,10 +240,5 @@ class RecurrentStack:
         for l in range(len(self.layers) - 1, -1, -1):
             if masks is not None and masks[l] is not None:
                 d = d * masks[l]
-            layer = self.layers[l]
-            if isinstance(layer, LSTMLayer):
-                d, dh0, _ = layer.backward(d)
-            else:
-                d, dh0 = layer.backward(d)
-            d_initial[l] = dh0
+            d, d_initial[l] = self.layers[l].backward(d)
         return d, d_initial

@@ -153,6 +153,23 @@ def test_ingest_without_data_csv_fails(tmp_path, capsys):
     assert "data_csv" in capsys.readouterr().err
 
 
+def test_manifest_paths_survive_a_change_of_directory(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert _run("synth", "--config", cfg, "--out", os.path.join("runs", "a")) == 0
+    monkeypatch.chdir(tmp_path / "runs")
+    assert _run("select-features", "--config", cfg, "--out", "a") == 0
+
+
+def test_ingest_of_a_missing_csv_is_one_error_line(tmp_path, capsys):
+    missing = os.path.join(tmp_path, "nope.csv")
+    code = _run("ingest", "--out", str(tmp_path / "out"), "--set", f"data_csv={missing}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "nope.csv" in err
+
+
 def test_missing_manifest_names_the_producing_command(tmp_path, capsys):
     assert _run("select-features", "--out", str(tmp_path / "empty")) == 2
     err = capsys.readouterr().err

@@ -127,7 +127,6 @@ def test_constant_channel_gets_unit_scale():
     bundle = build_bundle(target=np.full(60, 5.0), policy=np.zeros(60))
     stats = fit_norm_stats(bundle, split_time(bundle))
     assert stats.scale[0] == 1.0
-    assert bool(stats.constant[0])
     np.testing.assert_array_equal(stats.normalize_target(bundle.target), np.zeros(60))
 
 
@@ -147,9 +146,6 @@ def test_normalize_round_trips(loc, scale):
     stats = NormStats(
         location=np.array([loc, 0.0]),
         scale=np.array([scale, 1.0]),
-        constant=np.array([False, False]),
-        identity=np.array([False, True]),
-        fitted_range=(0, 10),
     )
     x = np.linspace(-3, 3, 11)
     back = stats.denormalize_target(stats.normalize_target(x))

@@ -89,6 +89,14 @@ def test_marginal_curve_holds_other_features_at_training_means(trained_model):
         np.testing.assert_allclose(curve.values[k], model.predict(row[None, :])[0], atol=1e-12)
 
 
+def test_predict_takes_feature_rows_only(trained_model):
+    model = trained_model
+    assert model.predict(model.feature_means[None, :]).shape == (1,)
+    for bad in (model.feature_means, model.feature_means[None, None, :], np.zeros((1, 3))):
+        with pytest.raises(ValueError):
+            model.predict(bad)
+
+
 def test_policy_delta_is_zero_at_reference(trained_model):
     model = trained_model
     assert policy_delta(model, 0.0, reference=0.0) == 0.0

@@ -221,6 +221,10 @@ def test_autoencoder_shapes():
     assert codes.shape == (5, 3)
     recon = model.reconstruct(W[:5])
     assert recon.shape == (5, W.shape[1], W.shape[2])
+    with pytest.raises(ValueError):
+        model.encode(W[0])
+    with pytest.raises(ValueError):
+        model.decode(codes[0])
 
 
 def test_autoencoder_training_reduces_reconstruction_error():

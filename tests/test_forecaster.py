@@ -325,6 +325,22 @@ def test_checkpoint_with_a_policy_polynomial_is_refused(skip_model, tmp_path):
         load_forecaster(path)
 
 
+def test_checkpoint_with_older_stats_keys_loads(skip_model, tmp_path):
+    # earlier files also stored constant/identity/fitted per series; they
+    # never drove a number, so loading ignores them
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    for stats in meta["norm_stats"].values():
+        n = len(stats["location"])
+        stats.update(constant=[False] * n, identity=[False] * n, fitted=[0, 10])
+    save_checkpoint(path, "forecaster", meta, arrays)
+    loaded = load_forecaster(path)
+    for sid, stats in skip_model.norm_stats.items():
+        assert loaded.norm_stats[sid].location.tobytes() == stats.location.tobytes()
+        assert loaded.norm_stats[sid].scale.tobytes() == stats.scale.tobytes()
+
+
 # ----------------------------------------------------------------------------
 # forecasting unseen series
 

@@ -68,8 +68,14 @@ def test_dense_forward_hand_value():
     layer = DenseLayer(2, 2, activation="identity", rng=stream(0, "t"), name="d")
     layer.W.value[:] = [[1.0, 2.0], [3.0, 4.0]]
     layer.b.value[:] = [0.5, -0.5]
-    out = layer.forward(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(out, [4.5, 5.5], atol=1e-15)
+    out = layer.forward(np.array([[1.0, 1.0]]))
+    np.testing.assert_allclose(out, [[4.5, 5.5]], atol=1e-15)
+
+
+def test_dense_takes_batches_only():
+    layer = DenseLayer(2, 2, activation="identity", rng=stream(0, "t"), name="d")
+    with pytest.raises(ValueError, match=r"\(B, 2\)"):
+        layer.forward(np.array([1.0, 1.0]))
 
 
 def test_dense_init_respects_glorot_bound():
