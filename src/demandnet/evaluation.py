@@ -4,8 +4,9 @@ Metric aggregation is fixed throughout: compute the metric per forecast
 origin, then take arithmetic means across origins, then series, then seeds.
 Baselines are tuned per (series, horizon) on the validation range with
 labels clipped at the validation boundary so nothing leaks from the test
-range.  All modeling happens in per-series normalized units; denormalized
-errors are carried alongside for interpretability.
+range.  The ES baseline is tuned and forecast from one recursion per
+(alpha, beta), read at every origin.  All modeling happens in per-series
+normalized units; denormalized errors are carried alongside.
 """
 
 from __future__ import annotations
@@ -67,40 +68,56 @@ def pred_sd(samples) -> float:
 # Classical baselines
 
 
-def exp_smoothing_forecast(history, alpha: float, horizon: int,
-                           beta: float | None = None,
-                           initial_level: float | None = None) -> np.ndarray:
-    """Exponential smoothing forecast: simple (flat) or Holt (trended).
+def _exp_smoothing_path(x: np.ndarray, alpha: float, beta: float | None = None):
+    """One ES recursion over ``x``; returns ``fn(t, horizon)``, the forecast
+    from the state recorded after ``x[:t]``.
 
-    Simple: level starts at ``initial_level`` (default: first observation)
-    and is updated through every observation; the forecast repeats the final
-    level.  Holt: level starts at the first observation, trend at the first
-    difference, updates run from the second observation on, and the forecast
-    extrapolates ``level + m * trend``.
+    Simple: the level starts at ``x[0]`` and is updated through every
+    observation, ``x[0]`` included; the forecast repeats it.  Holt: the level
+    starts at ``x[0]``, the trend at ``x[1] - x[0]``, updates run from ``x[1]``
+    on, and the forecast extrapolates ``level + m * trend``.
     """
-    x = np.asarray(history, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("history must be a non-empty 1-D array")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if beta is not None and not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    values = x.tolist()
+    if beta is None:
+        states, level = [None], values[0] if values else np.nan
+        for value in values:
+            level = alpha * value + (1.0 - alpha) * level
+            states.append(level)
+    else:
+        states = [None, None]
+        level, trend = (values[0], values[1] - values[0]) if len(values) > 1 else (np.nan, np.nan)
+        for value in values[1:]:
+            new_level = alpha * value + (1.0 - alpha) * (level + trend)
+            level, trend = new_level, beta * (new_level - level) + (1.0 - beta) * trend
+            states.append((level, trend))
+
+    def forecast(t: int, horizon: int) -> np.ndarray:
+        if t < 1:
+            raise ValueError("history must be a non-empty 1-D array")
+        if beta is None:
+            return np.full(horizon, states[t])
+        if t < 2:
+            raise ValueError("Holt smoothing needs at least two observations")
+        level, trend = states[t]
+        return level + trend * np.arange(1, horizon + 1, dtype=float)
+
+    return forecast
+
+
+def exp_smoothing_forecast(history, alpha: float, horizon: int,
+                           beta: float | None = None) -> np.ndarray:
+    """Exponential smoothing forecast, simple (flat) or Holt (trended), from
+    the whole history; see ``_exp_smoothing_path``."""
+    x = np.asarray(history, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("history must be a non-empty 1-D array")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if beta is None:
-        level = float(x[0]) if initial_level is None else float(initial_level)
-        for value in x:
-            level = alpha * value + (1.0 - alpha) * level
-        return np.full(horizon, level)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if x.size < 2:
-        raise ValueError("Holt smoothing needs at least two observations")
-    level = float(x[0])
-    trend = float(x[1] - x[0])
-    for value in x[1:]:
-        new_level = alpha * value + (1.0 - alpha) * (level + trend)
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
-        level = new_level
-    return level + trend * np.arange(1, horizon + 1, dtype=float)
+    return _exp_smoothing_path(x, alpha, beta)(x.size, horizon)
 
 
 def seasonal_naive_forecast(history, horizon: int, period: int = 7) -> np.ndarray:
@@ -162,13 +179,13 @@ def ar_forecast(history, p: int, horizon: int, ridge: float = 1e-6) -> np.ndarra
 
 
 def _clipped_score(series: np.ndarray, origins, horizon: int, limit: int, forecast_fn) -> float:
-    """Mean per-origin MAE with labels clipped at ``limit`` (no leakage)."""
+    """Mean MAE of ``forecast_fn(t, h)`` over origins t, labels clipped at ``limit``."""
     scores = []
     for t in origins:
         h_eff = min(horizon, limit - t)
         if h_eff < 1:
             continue
-        pred = forecast_fn(series[:t], h_eff)
+        pred = forecast_fn(t, h_eff)
         scores.append(float(np.mean(np.abs(pred - series[t : t + h_eff]))))
     if not scores:
         raise ValueError("no scorable validation origins")
@@ -177,15 +194,14 @@ def _clipped_score(series: np.ndarray, origins, horizon: int, limit: int, foreca
 
 def tune_exp_smoothing(series, origins, horizon: int, limit: int,
                        alphas=EXP_SMOOTHING_ALPHAS, betas=EXP_SMOOTHING_BETAS):
-    """Grid-search (alpha, beta-or-None) by validation MAE; first best wins."""
+    """Grid-search (alpha, beta-or-None) by validation MAE, one recursion per pair;
+    first best wins."""
     series = np.asarray(series, dtype=float)
     best, best_score = None, np.inf
     for alpha in alphas:
         for beta in (None, *betas):
-            score = _clipped_score(
-                series, origins, horizon, limit,
-                lambda h, m, a=alpha, b=beta: exp_smoothing_forecast(h, a, m, beta=b),
-            )
+            score = _clipped_score(series, origins, horizon, limit,
+                                   _exp_smoothing_path(series[:limit], alpha, beta))
             if score < best_score:
                 best, best_score = (alpha, beta), score
     return best
@@ -199,7 +215,7 @@ def tune_ar(series, origins, horizon: int, limit: int, orders=AR_ORDERS) -> int:
         try:
             score = _clipped_score(
                 series, origins, horizon, limit,
-                lambda h, m, p=p: ar_forecast(h, p, m),
+                lambda t, m, p=p: ar_forecast(series[:t], p, m),
             )
         except ValueError:
             continue
@@ -380,19 +396,18 @@ def classical_eval_bundle(bundle: SeriesBundle, cfg: PipelineConfig,
     rows = {}
     for h in horizons:
         if method == "exp_smoothing":
-            alpha, beta = tune_exp_smoothing(series, val_origins, h, limit)
-            fn = lambda hist, m, a=alpha, b=beta: exp_smoothing_forecast(hist, a, m, beta=b)
+            fn = _exp_smoothing_path(series, *tune_exp_smoothing(series, val_origins, h, limit))
         elif method == "ar":
             p = tune_ar(series, val_origins, h, limit)
-            fn = lambda hist, m, p=p: ar_forecast(hist, p, m)
+            fn = lambda t, m, p=p: ar_forecast(series[:t], p, m)
         elif method == "seasonal_naive":
-            fn = seasonal_naive_forecast
+            fn = lambda t, m: seasonal_naive_forecast(series[:t], m)
         else:
             raise ValueError(f"unknown classical method {method!r}")
         origins = [t for t in range(split.test.start, bundle.length - h + 1)]
         if not origins:
             continue
-        mean_paths = [fn(series[:t], h) for t in origins]
+        mean_paths = [fn(t, h) for t in origins]
         truths = [series[t : t + h] for t in origins]
         rows[h] = _series_metrics(mean_paths, None, truths, scale)
     return rows

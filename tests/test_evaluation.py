@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandnet.config import PipelineConfig
 from demandnet.evaluation import (
+    EXP_SMOOTHING_ALPHAS,
+    EXP_SMOOTHING_BETAS,
+    _exp_smoothing_path,
     ar_forecast,
     exp_smoothing_forecast,
     mae,
@@ -76,10 +79,52 @@ def test_exp_smoothing_with_trend_extends_a_line_exactly():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
-def test_exp_smoothing_initial_level_override():
-    got = exp_smoothing_forecast([4.0], 0.3, 2, initial_level=0.0)
-    # level after one observation: 0.3 * 4
-    assert got == pytest.approx([1.2, 1.2], abs=1e-12)
+def _per_origin_es(history, alpha, horizon, beta=None):
+    """Reference ES: the whole recursion rerun from the first observation."""
+    x = np.asarray(history, dtype=float)
+    if beta is None:
+        level = float(x[0])
+        for value in x:
+            level = alpha * value + (1.0 - alpha) * level
+        return np.full(horizon, level)
+    level = float(x[0])
+    trend = float(x[1] - x[0])
+    for value in x[1:]:
+        new_level = alpha * value + (1.0 - alpha) * (level + trend)
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return level + trend * np.arange(1, horizon + 1, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    beta=st.none() | st.floats(0.0, 1.0),
+    horizon=st.integers(1, 12),
+    data=st.data(),
+)
+def test_one_pass_es_equals_per_origin_es_bitwise(values, alpha, beta, horizon, data):
+    x = np.asarray(values)
+    first = 1 if beta is None else 2
+    origins = data.draw(st.lists(st.integers(first, x.size), min_size=1, max_size=20))
+    path = _exp_smoothing_path(x, alpha, beta)
+    for t in origins:
+        want = _per_origin_es(x[:t], alpha, horizon, beta).tobytes()
+        assert path(t, horizon).tobytes() == want
+        assert exp_smoothing_forecast(x[:t], alpha, horizon, beta=beta).tobytes() == want
+
+
+def test_es_origins_too_short_for_the_recursion_raise():
+    series = np.arange(10.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        exp_smoothing_forecast([], 0.5, 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        tune_exp_smoothing(series, [0], 3, limit=10)
+    with pytest.raises(ValueError, match="at least two observations"):
+        exp_smoothing_forecast([1.0], 0.5, 3, beta=0.1)
+    with pytest.raises(ValueError, match="at least two observations"):
+        tune_exp_smoothing(series, [1], 3, limit=10)
 
 
 def test_ar_extends_constant_difference_ramp_exactly():
@@ -119,6 +164,25 @@ def test_tuning_ties_resolve_to_first_grid_entry():
     # constant series: every (alpha, beta) scores identically
     series = np.full(40, 5.0)
     assert tune_exp_smoothing(series, [30, 34], 4, limit=40) == (0.1, None)
+
+
+def test_tuning_matches_the_per_origin_grid_search():
+    rng = np.random.default_rng(3)
+    series = np.cumsum(rng.normal(size=120)) + np.sin(np.arange(120) / 4.0)
+    origins, limit = range(90, 108), 108
+    for horizon in (4, 12):
+        best, best_score = None, np.inf
+        for alpha in EXP_SMOOTHING_ALPHAS:
+            for beta in (None, *EXP_SMOOTHING_BETAS):
+                scores = []
+                for t in origins:
+                    h = min(horizon, limit - t)
+                    pred = _per_origin_es(series[:t], alpha, h, beta)
+                    scores.append(float(np.mean(np.abs(pred - series[t : t + h]))))
+                score = float(np.mean(scores))
+                if score < best_score:  # first best wins
+                    best, best_score = (alpha, beta), score
+        assert tune_exp_smoothing(series, origins, horizon, limit) == best
 
 
 def test_tuning_never_reads_beyond_the_limit():
