@@ -14,7 +14,7 @@ import time
 import demandnet as dn
 from demandnet.evaluation import run_split80, run_unseen
 from demandnet.forecaster import ForecasterArch
-from demandnet.nn import TrainConfig
+from demandnet.nn.optim import TrainConfig
 from demandnet.pipeline import PipelineConfig
 
 

@@ -128,10 +128,6 @@ class DatasetSplit:
         ):
             raise ValueError("split ranges must be contiguous")
 
-    @property
-    def length(self) -> int:
-        return self.test.stop
-
 
 def split_time(bundle: SeriesBundle | int, fractions=(0.8, 0.1, 0.1)) -> DatasetSplit:
     """Chronological train/validation/test split by cumulative fractions.
@@ -327,13 +323,21 @@ def _open_csv(path):
         raise DataError(f"{path}: cannot open ({exc.strerror or exc})") from exc
 
 
+def _read_header(reader, path) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    dup = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if dup is not None:
+        raise SchemaError(f"{path}: duplicate column {dup!r}")
+    return header
+
+
 def load_sidecar(path, expected_ids=None) -> dict[str, dict[str, float]]:
     """Load the static-feature sidecar CSV keyed by series id."""
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
+        header = _read_header(reader, path)
         if header[0] != "series_id":
             raise SchemaError(f"{path}: first column must be 'series_id', got {header[0]!r}")
         feature_names = header[1:]
@@ -368,9 +372,7 @@ def load_dataset(path, sidecar=None) -> list[SeriesBundle]:
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
+        header = _read_header(reader, path)
         for col in ("series_id", "date", "target"):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")

@@ -78,8 +78,6 @@ class MarginalCurve:
 class EffectModel:
     """Small dense network over named features with recorded training means."""
 
-    kind = "effects"
-
     def __init__(self, feature_names, widths, rng: np.random.Generator | None = None,
                  lam: float = 0.0, policy_feature: str = "policy"):
         rng = rng if rng is not None else np.random.default_rng(0)

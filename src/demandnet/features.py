@@ -188,8 +188,6 @@ class StackedAutoencoder:
     each step out linearly to the original channels.
     """
 
-    kind = "autoencoder"
-
     def __init__(self, channels: int, tau: int, arch: SaeArch,
                  rng: np.random.Generator | None = None, lam: float = 0.0):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -281,7 +279,7 @@ def train_autoencoder(windows, config: TrainConfig, arch: SaeArch,
     variance, or the epoch budget runs out.
 
     Every fifth window is held out for the stop test.  A diverging run raises
-    :class:`~demandnet.nn.DivergenceError`, as every trainer does.  The
+    :class:`~demandnet.nn.optim.DivergenceError`, as every trainer does.  The
     outcome (histories, threshold, stop reason) is recorded on
     ``model.training``.
     """

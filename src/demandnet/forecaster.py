@@ -111,8 +111,6 @@ def apply_adjustment(base: np.ndarray, delta: np.ndarray, mode: str) -> np.ndarr
 class ForecasterModel:
     """Recurrent stack + direct multi-horizon readout + policy skip."""
 
-    kind = "forecaster"
-
     def __init__(self, arch: ForecasterArch, tau: int, channel_names,
                  policy_channel: int, effect_model: EffectModel | None = None,
                  rng: np.random.Generator | None = None, lam: float = 0.0):

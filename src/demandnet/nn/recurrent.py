@@ -202,7 +202,6 @@ class RecurrentStack:
     """
 
     def __init__(self, kind: str, in_dim: int, widths, rng, name: str = "stack"):
-        self.kind = kind
         self.widths = tuple(int(w) for w in widths)
         if not self.widths:
             raise ValueError("stack needs at least one layer")

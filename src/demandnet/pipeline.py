@@ -109,14 +109,12 @@ def effect_training_data(bundles: list[SeriesBundle], cfg: PipelineConfig):
     return X, y, feature_names, report
 
 
-def train_effects_for(bundles: list[SeriesBundle], cfg: PipelineConfig,
-                      seed: int | None = None):
+def train_effects_for(bundles: list[SeriesBundle], cfg: PipelineConfig, seed: int):
     """Train the pooled effects model; returns (model, screening report)."""
     X, y, feature_names, report = effect_training_data(bundles, cfg)
-    train_cfg = cfg.effects_train if seed is None else replace(cfg.effects_train, seed=seed)
     policy_name = bundles[0].covariate_names[bundles[0].policy_index]
     model = train_effect_model(
-        X, y, feature_names, train_cfg,
+        X, y, feature_names, replace(cfg.effects_train, seed=seed),
         hidden_width=cfg.effects_width, policy_feature=policy_name,
     )
     return model, report

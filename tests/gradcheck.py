@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import DenseLayer
-from .loss import add_penalty_grads, mse_grad, penalized_loss
+from demandnet.nn.layers import DenseLayer
+from demandnet.nn.loss import add_penalty_grads, mse_grad, penalized_loss
 
 
 def grad_check(model, batch, epsilon: float = 1e-5, rng: np.random.Generator | None = None,

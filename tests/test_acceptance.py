@@ -49,8 +49,9 @@ from demandnet.forecaster import (
     train_forecaster,
     variance_vs_truth,
 )
-from demandnet.nn import DenseLayer, RecurrentStack, TrainConfig, grad_check
-from demandnet.nn.gradcheck import DenseProbe, SequenceProbe
+from demandnet.nn.layers import DenseLayer
+from demandnet.nn.optim import TrainConfig
+from demandnet.nn.recurrent import RecurrentStack
 from demandnet.pipeline import (
     PipelineConfig,
     train_demandnet,
@@ -59,6 +60,7 @@ from demandnet.pipeline import (
 from demandnet.rngs import stream
 
 from conftest import build_bundle
+from gradcheck import DenseProbe, SequenceProbe, grad_check
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -5,12 +5,16 @@ These checks fail in the ordinary test run when a rename or deletion in
 only when the benchmark itself runs.
 """
 
+import importlib
+import inspect
 import os
 import sys
 
 import numpy as np
+import pytest
 
 import demandnet as dn
+import demandnet.nn
 from demandnet.pipeline import PipelineConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,3 +40,14 @@ def test_tracer_installs_and_counts_on_a_tiny_panel():
     # validation origins 96..104 of each 120-day series: 9 windows apiece
     assert layers["data.make_windows.windows"] == 3 * 9
     assert layers["data.normalize_bundle.calls_per_series"] == 1.0
+
+
+def test_public_surface_is_the_modules():
+    # the package root keeps only what bench/workloads.py and the scripts call
+    assert dn.__all__ == ["SynthConfig", "split_time", "synth_generate"]
+    assert all(callable(getattr(dn, name)) for name in dn.__all__)
+    stray = [name for name in dir(demandnet.nn)
+             if not name.startswith("_") and not inspect.ismodule(getattr(demandnet.nn, name))]
+    assert stray == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("demandnet.nn.gradcheck")

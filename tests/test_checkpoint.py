@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from demandnet.nn import Parameter
+from demandnet.nn.layers import Parameter
 from demandnet.nn.checkpoint import (
     CheckpointError,
     load_checkpoint,

@@ -162,12 +162,15 @@ def test_manifest_paths_survive_a_change_of_directory(tmp_path, monkeypatch):
 
 
 def test_ingest_of_a_missing_csv_is_one_error_line(tmp_path, capsys):
-    missing = os.path.join(tmp_path, "nope.csv")
-    code = _run("ingest", "--out", str(tmp_path / "out"), "--set", f"data_csv={missing}")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-    assert "nope.csv" in err
+    duplicated = tmp_path / "dup.csv"
+    duplicated.write_text("series_id,date,target,policy,policy\nS0,2020-01-01,1.0,0.1,0.2\n")
+    for path, reason in ((tmp_path / "nope.csv", "cannot open"),
+                         (duplicated, "duplicate column 'policy'")):
+        code = _run("ingest", "--out", str(tmp_path / "out"), "--set", f"data_csv={path}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert f"{path.name}: {reason}" in err
 
 
 def test_missing_manifest_names_the_producing_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ from demandnet.config import (
     load_run_config,
     parse_override,
 )
-from demandnet.nn import TrainConfig
+from demandnet.nn.optim import TrainConfig
 
 
 def test_run_defaults():

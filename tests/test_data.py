@@ -326,6 +326,18 @@ def test_missing_required_column_is_schema_error(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("loader, text, dup", [
+    (load_dataset, "series_id,date,target,policy,policy\nS0,2020-01-01,1.0,0.1,0.2\n", "policy"),
+    (load_dataset, "series_id,date,target,policy,target\nS0,2020-01-01,1.0,0.1,2.0\n", "target"),
+    (load_sidecar, "series_id,pop,pop\nS0,1.0,2.0\n", "pop"),
+], ids=["data-policy", "data-target", "sidecar-pop"])
+def test_duplicate_column_name_is_schema_error(tmp_path, loader, text, dup):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"in.csv: duplicate column '{dup}'$"):
+        loader(path)
+
+
 def test_sidecar_round_trip_values(tmp_path):
     bundles = [
         build_bundle(series_id="S0", statics={"population": 2.0, "beds": 7.5}),

@@ -24,7 +24,7 @@ from demandnet.effects import train_effect_model
 from demandnet.evaluation import ar_forecast, exp_smoothing_forecast, tune_ar, tune_exp_smoothing
 from demandnet.features import SaeArch, train_autoencoder
 from demandnet.forecaster import ForecasterArch, mc_forecast_batch, train_forecaster
-from demandnet.nn import TrainConfig
+from demandnet.nn.optim import TrainConfig
 from demandnet.pipeline import PipelineConfig, effect_training_data
 
 REFERENCE = Path(__file__).parent / "data" / "drift_reference.npz"

@@ -10,8 +10,10 @@ from demandnet.effects import (
     policy_delta,
     train_effect_model,
 )
-from demandnet.nn import DivergenceError, TrainConfig, grad_check
+from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.rngs import stream
+
+from gradcheck import grad_check
 
 
 def _linear_response_data(n=600, slope=-1.5, intercept=2.0, seed=0):

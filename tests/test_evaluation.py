@@ -20,7 +20,7 @@ from demandnet.evaluation import (
     tune_exp_smoothing,
 )
 from demandnet.forecaster import ForecasterArch
-from demandnet.nn import TrainConfig
+from demandnet.nn.optim import TrainConfig
 
 from conftest import build_bundle
 

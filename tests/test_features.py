@@ -14,8 +14,9 @@ from demandnet.features import (
     spearman,
     train_autoencoder,
 )
-from demandnet.nn import DivergenceError, TrainConfig, grad_check
+from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.rngs import stream
+from gradcheck import grad_check
 from tests.conftest import build_bundle
 
 

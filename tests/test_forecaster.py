@@ -15,17 +15,12 @@ from demandnet.forecaster import (
     train_forecaster,
     variance_vs_truth,
 )
-from demandnet.nn import (
-    CheckpointError,
-    DivergenceError,
-    TrainConfig,
-    grad_check,
-    load_checkpoint,
-    save_checkpoint,
-)
+from demandnet.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.rngs import stream
 
 from conftest import build_bundle
+from gradcheck import grad_check
 
 TAU = 8
 HORIZON = 6

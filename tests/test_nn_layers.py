@@ -3,24 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demandnet.nn import (
-    Adam,
-    DenseLayer,
-    DivergenceError,
-    Parameter,
-    Sgd,
-    TrainConfig,
-    add_penalty_grads,
-    get_activation,
-    grad_check,
-    make_optimizer,
-    mse_grad,
-    penalized_loss,
-    sample_dropout_mask,
-)
 from demandnet.forecaster import ForecasterArch
-from demandnet.nn.gradcheck import DenseProbe
+from demandnet.nn.activations import get_activation
+from demandnet.nn.layers import DenseLayer, Parameter, sample_dropout_mask
+from demandnet.nn.loss import add_penalty_grads, mse_grad, penalized_loss
+from demandnet.nn.optim import Adam, DivergenceError, Sgd, TrainConfig, make_optimizer
 from demandnet.rngs import stream
+
+from gradcheck import DenseProbe, grad_check
 
 
 # ----------------------------------------------------------------------------

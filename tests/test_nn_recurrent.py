@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from demandnet.nn import GRULayer, LSTMLayer, RecurrentStack, grad_check
-from demandnet.nn.gradcheck import SequenceProbe
 from demandnet.nn.layers import sample_dropout_mask
-from demandnet.nn.recurrent import make_cell
+from demandnet.nn.recurrent import GRULayer, LSTMLayer, RecurrentStack, make_cell
 from demandnet.rngs import stream
+
+from gradcheck import SequenceProbe, grad_check
 
 
 def _constant_weights(layer, value=0.5):

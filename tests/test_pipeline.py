@@ -2,7 +2,7 @@ import pytest
 
 import demandnet as dn
 from demandnet.forecaster import ForecasterArch
-from demandnet.nn import TrainConfig
+from demandnet.nn.optim import TrainConfig
 from demandnet.pipeline import PipelineConfig, train_demandnet, train_effects_for
 
 
