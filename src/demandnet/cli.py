@@ -257,14 +257,15 @@ def cmd_forecast(cfg: RunConfig) -> int:
     if not matches:
         raise ConfigError(f"series {sid!r} not in the dataset manifest")
     bundle = matches[0]
-    dist = forecast_unseen(
-        model, bundle,
-        policy_mode=cfg.forecast_policy_mode,
-        origin=cfg.forecast_origin,
-        kappa=cfg.kappa,
-        seed=cfg.seed,
-        fractions=cfg.fractions,
-    )
+    if cfg.forecast_policy_mode not in ("known", "dummy"):  # no CLI way to pass a schedule
+        raise ConfigError(f"forecast_policy_mode must be 'known' or 'dummy', "
+                          f"got {cfg.forecast_policy_mode!r}")
+    try:
+        dist = forecast_unseen(model, bundle, policy_mode=cfg.forecast_policy_mode,
+                               origin=cfg.forecast_origin, kappa=cfg.kappa,
+                               seed=cfg.seed, fractions=cfg.fractions)
+    except ValueError as exc:  # an origin that does not fit the series
+        raise ConfigError(f"forecast_origin={cfg.forecast_origin}: {exc}") from exc
     split, stats, nb = model.prepare(bundle, cfg.fractions)
     origin = cfg.forecast_origin if cfg.forecast_origin is not None else split.test.start
     var_vs = None

@@ -21,6 +21,7 @@ from .nn.optim import TrainConfig, fit
 from .rngs import stream
 
 log = logging.getLogger(__name__)
+POLICY_BLOCK = 128  # rows per effects-network call in policy_delta
 
 
 @dataclass(frozen=True)
@@ -196,16 +197,24 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
 
     Always evaluates the network (a fitted polynomial is an exported summary
     only).  Shape-preserving: a scalar level gives a 0-d array.
+
+    The network runs once per distinct level, plus the reference, padded
+    with the reference to whole blocks of ``POLICY_BLOCK`` rows.  A row's
+    output depends on how many rows share the matmul, so one fixed block
+    shape makes a level's shift independent of its batch-mates.
     """
     levels = np.asarray(policy_level, dtype=float)
     flat = levels.reshape(-1)
-    if flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
+    if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
         raise ValueError("policy levels must lie in [0, 1]")
     if not 0.0 <= reference <= 1.0:
         raise ValueError(f"reference policy {reference} outside [0, 1]")
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    n_rows = -(-(distinct.size + 1) // POLICY_BLOCK) * POLICY_BLOCK
+    rows = np.tile(model.feature_means, (n_rows, 1))
     col = model.feature_index(model.policy_feature)
-    rows = np.tile(model.feature_means, (flat.size + 1, 1))
-    rows[:-1, col] = flat
-    rows[-1, col] = reference
-    pred = model.predict(rows)
-    return (pred[:-1] - pred[-1]).reshape(levels.shape)
+    rows[:, col] = reference
+    rows[: distinct.size, col] = distinct
+    pred = np.concatenate([model.predict(rows[i : i + POLICY_BLOCK])
+                           for i in range(0, n_rows, POLICY_BLOCK)])
+    return (pred[inverse] - pred[distinct.size]).reshape(levels.shape)

@@ -326,6 +326,10 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     k)`` and applies the same network realization to every window, so the
     result for window n is bit-identical to a single-window call with the
     same seed.
+
+    Masks multiply layer outputs, so layer 0 runs once on the N windows and
+    is tiled kappa times (:meth:`RecurrentStack.forward`, which runs a lone
+    window twice); later layers and the readout run on kappa * N rows.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -338,16 +342,14 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
         raise ValueError(f"expected (N, {model.arch.horizon}) policies, got {P.shape}")
     N = W.shape[0]
     widths = model.stack.widths
-    masks = None
+    per_layer = [np.ones((kappa, w)) for w in widths]
     if p_used > 0.0:
-        per_layer = [np.empty((kappa, w)) for w in widths]
         for k in range(kappa):
             rng = stream(seed, "mc-pass", k)
             for l, w in enumerate(widths):
                 per_layer[l][k] = sample_dropout_mask((w,), p_used, rng)
-        masks = [np.repeat(rows, N, axis=0) for rows in per_layer]
-    big = np.tile(W, (kappa, 1, 1))
-    base = model._forward_base(big, masks=masks, cache=False).reshape(kappa, N, -1)
+    masks = [np.repeat(rows, N, axis=0) for rows in per_layer]
+    base = model._forward_base(W, masks=masks, cache=False).reshape(kappa, N, -1)
     delta = model.policy_deltas(P)
     return apply_adjustment(base, delta[None, :, :], model.arch.adjust_mode)
 

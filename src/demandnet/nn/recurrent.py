@@ -216,7 +216,15 @@ class RecurrentStack:
         return [p for layer in self.layers for p in layer.parameters()]
 
     def forward(self, X: np.ndarray, masks=None, initial_states=None, cache: bool = True):
-        """Run the full stack; returns the (masked) top-layer sequence."""
+        """Run the full stack; returns the (masked) top-layer sequence.
+
+        Masks may have m*B rows for B input rows (m Monte-Carlo passes; row
+        j*B + b reads input row b).  Layer 0's output does not depend on the
+        masks, so layer 0 runs once on the B rows and is tiled m times before
+        mask 0.  A lone row runs as two copies, one kept: numpy sends a
+        one-row matmul to gemv, which sums in another order than gemm.
+        Tiling is for inference only (no cache, no initial states).
+        """
         if masks is not None and len(masks) != len(self.layers):
             raise ValueError(f"expected {len(self.layers)} masks, got {len(masks)}")
         if initial_states is not None and len(initial_states) != len(self.layers):
@@ -225,9 +233,18 @@ class RecurrentStack:
         cur = X
         for l, layer in enumerate(self.layers):
             h0 = initial_states[l] if initial_states is not None else None
-            H = layer.forward(cur, h0=h0, cache=cache)
-            if masks is not None and masks[l] is not None:
-                H = H * masks[l]
+            mask = masks[l] if masks is not None else None
+            B = cur.shape[1]
+            reps = len(mask) // B if l == 0 and np.ndim(mask) == 2 else 1
+            if reps > 1:
+                if cache or h0 is not None:
+                    raise ValueError("masks with m*B rows are for inference only")
+                H = layer.forward(np.repeat(cur, 2, axis=1) if B == 1 else cur, cache=False)
+                H = np.tile(H[:, :B], (1, reps, 1))
+            else:
+                H = layer.forward(cur, h0=h0, cache=cache)
+            if mask is not None:
+                H = H * mask
             cur = H
         return cur
 

@@ -205,6 +205,25 @@ def test_unknown_series_is_a_config_error(pipeline_dir, tmp_path, capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, reason", [
+    ("forecast_origin=5000", "beyond series length"),
+    ("forecast_origin=3", "leaves no room"),
+    ("forecast_origin=88", "known policies unavailable"),
+    ("forecast_policy_mode=scheduled", "'known' or 'dummy'"),
+    ("forecast_policy_mode=guess", "'known' or 'dummy'"),
+])
+def test_forecast_settings_that_do_not_fit_are_config_errors(pipeline_dir, tmp_path,
+                                                             capsys, override, reason):
+    # the tiny run has 90-day series, tau 8 and horizon 6
+    cfg = _write_config(tmp_path)
+    capsys.readouterr()
+    code = _run("forecast", "--config", cfg, "--out", pipeline_dir, "--set", override)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert reason in err
+
+
 def test_divergence_exits_with_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "run")

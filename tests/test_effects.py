@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from demandnet.effects import (
     EffectModel,
@@ -120,6 +123,34 @@ def test_policy_delta_validates_range(trained_model):
         policy_delta(model, 1.2)
     with pytest.raises(ValueError):
         policy_delta(model, -0.1)
+    with pytest.raises(ValueError):
+        policy_delta(model, np.array([0.2, np.nan]))
+
+
+def _random_effect_model(widths):
+    # untrained weights with nonzero feature means exercise every input column
+    model = EffectModel(("policy", "cases", "other"), widths, rng=stream(3, "block", *widths))
+    model.feature_means = stream(4, "block-means").normal(size=3)
+    return model
+
+
+_BLOCK_MODELS = {w: _random_effect_model(w) for w in ((4,), (16, 16), (64, 64))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    widths=st.sampled_from(sorted(_BLOCK_MODELS)),
+    levels=arrays(np.float64, st.integers(1, 400), elements=st.floats(0.0, 1.0)),
+    reference=st.floats(0.0, 1.0),
+)
+def test_a_levels_delta_ignores_its_batch_mates(widths, levels, reference):
+    # more than 127 distinct levels spill into a second block of rows
+    model = _BLOCK_MODELS[widths]
+    together = policy_delta(model, levels, reference)
+    for k in range(levels.size):
+        alone = policy_delta(model, levels[k : k + 1], reference)[0]
+        suffix = policy_delta(model, levels[k:], reference)[0]
+        assert together[k].tobytes() == alone.tobytes() == suffix.tobytes(), k
 
 
 def test_unknown_feature_rejected(trained_model):

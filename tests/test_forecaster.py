@@ -17,6 +17,7 @@ from demandnet.forecaster import (
 )
 from demandnet.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from demandnet.nn.optim import DivergenceError, TrainConfig
+from demandnet.nn.recurrent import GRULayer
 from demandnet.rngs import stream
 
 from conftest import build_bundle
@@ -190,6 +191,46 @@ def test_batched_forecast_matches_single_window_bitwise(plain_model):
         single = mc_forecast(plain_model, windows[i], policies[i],
                              kappa=8, p=0.2, seed=9)
         assert np.array_equal(batch[:, i, :], single.samples)
+
+
+def _untrained_model(cell, use_policy_skip=True):
+    arch = ForecasterArch(cell=cell, hidden=16, layers=2, horizon=HORIZON, dropout=0.1,
+                          use_policy_skip=use_policy_skip)
+    effects = EffectModel(("policy", "cases"), widths=(64,), rng=stream(1, "em", cell))
+    effects.feature_means = np.array([0.3, 1.7])
+    return ForecasterModel(arch, tau=TAU, channel_names=("target", "policy"),
+                           policy_channel=1, effect_model=effects, rng=stream(1, cell))
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_batched_forecast_with_policy_skip_matches_single_window_bitwise(cell, n):
+    model = _untrained_model(cell)
+    rng = stream(2, "skip-batch", cell, n)
+    windows = rng.normal(size=(n, TAU, 2))
+    policies = rng.uniform(size=(n, HORIZON))  # a different path per window
+    batch = mc_forecast_batch(model, windows, policies, kappa=8, p=0.2, seed=4)
+    for i in range(n):
+        single = mc_forecast(model, windows[i], policies[i], kappa=8, p=0.2, seed=4)
+        assert np.array_equal(batch[:, i, :], single.samples), i
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mc_forecast_runs_layer_zero_once_per_window(monkeypatch, n):
+    model = _untrained_model("gru", use_policy_skip=False)
+    rows = []
+    original = GRULayer.forward
+
+    def counting_forward(layer, X, *args, **kwargs):
+        rows.append((layer.name, X.shape[1]))
+        return original(layer, X, *args, **kwargs)
+
+    monkeypatch.setattr(GRULayer, "forward", counting_forward)
+    kappa = 10
+    mc_forecast_batch(model, np.ones((n, TAU, 2)), np.zeros((n, HORIZON)),
+                      kappa=kappa, p=0.2, seed=0)
+    # one row is doubled so the matmul takes the same gemm path as a batch
+    assert rows == [("fore.0", max(n, 2)), ("fore.1", kappa * n)]
 
 
 def test_forecast_seed_controls_sampling(plain_model):

@@ -121,6 +121,20 @@ def test_stack_masks_scale_layer_outputs():
     np.testing.assert_allclose(masked, base * mask, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_stack_runs_layer_zero_once_for_masks_with_more_rows(kind, rows):
+    net = RecurrentStack(kind, 2, widths=(6, 4), rng=stream(11, kind), name="s")
+    X = stream(11, "x").normal(size=(5, rows, 2))
+    masks = [sample_dropout_mask((4 * rows, w), 0.3, stream(12, w)) for w in (6, 4)]
+    tiled = net.forward(X, masks=masks, cache=False)
+    # with cache=True nothing is tiled, so tile the input by hand
+    full = net.forward(np.tile(X, (1, 4, 1)), masks=masks, cache=True)
+    assert np.array_equal(tiled, full)
+    with pytest.raises(ValueError, match="inference only"):
+        net.forward(X, masks=masks, cache=True)
+
+
 def test_zeroed_units_stay_zero_across_time():
     rng = stream(10, "s")
     net = RecurrentStack("lstm", 1, widths=(6,), rng=rng, name="s")
