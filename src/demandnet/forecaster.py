@@ -328,8 +328,11 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     same seed.
 
     Masks multiply layer outputs, so layer 0 runs once on the N windows and
-    is tiled kappa times (:meth:`RecurrentStack.forward`, which runs a lone
-    window twice); later layers and the readout run on kappa * N rows.
+    its output is shared by the kappa passes (:meth:`RecurrentStack.forward`,
+    which runs a lone window twice); later layers and the readout run on
+    kappa * N rows.  When that is one row, two copies run and the first is
+    kept: numpy sends a one-row matmul to gemv, which sums in another order
+    than gemm.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -348,8 +351,10 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
             rng = stream(seed, "mc-pass", k)
             for l, w in enumerate(widths):
                 per_layer[l][k] = sample_dropout_mask((w,), p_used, rng)
-    masks = [np.repeat(rows, N, axis=0) for rows in per_layer]
-    base = model._forward_base(W, masks=masks, cache=False).reshape(kappa, N, -1)
+    if kappa * N == 1:
+        W = np.repeat(W, 2, axis=0)
+    masks = [np.repeat(rows, len(W), axis=0) for rows in per_layer]
+    base = model._forward_base(W, masks=masks, cache=False)[: kappa * N].reshape(kappa, N, -1)
     delta = model.policy_deltas(P)
     return apply_adjustment(base, delta[None, :, :], model.arch.adjust_mode)
 

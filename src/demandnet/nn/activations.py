@@ -1,4 +1,9 @@
-"""Elementwise activations and their derivatives in terms of the output."""
+"""Elementwise activations and their derivatives in terms of the output.
+
+The sigmoid is branch-free: it works on the whole array, with no boolean
+masks, and gives the same bits as the two-branch stable form for every
+input except that a NaN's sign bit may differ.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +11,24 @@ import numpy as np
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, without branches.
+
+    With ``e = exp(-|z|)`` this is ``1 / (1 + e)`` where z >= 0 and
+    ``e / (1 + e)`` elsewhere, the two-branch stable form bit for bit:
+    ``exp(-|z|)`` is exactly ``exp(-z)`` or ``exp(z)``, ``maximum`` returns
+    one of its operands, and each quotient is one rounding.  ``exp`` never
+    sees a positive argument, so nothing overflows.  A NaN stays NaN,
+    though its sign bit may differ from the two-branch form's.  The result
+    is an array of ``z``'s shape, 0-d included.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Two buffers filled in place: on the published LSTM's gate slices,
+    # allocating fresh arrays costs more than the arithmetic.
+    out, e = np.empty_like(z), np.empty_like(z)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def sigmoid_deriv(a: np.ndarray) -> np.ndarray:

@@ -60,8 +60,8 @@ class LSTMLayer:
             I, F, G, O, TC, Hprev, Cprev = (np.empty((T, B, k)) for _ in range(7))
         for t in range(T):
             z = X[t] @ self.Wx.value + h @ self.Wh.value + self.b.value
-            i = sigmoid(z[:, :k])
-            f = sigmoid(z[:, k : 2 * k])
+            i_f = sigmoid(z[:, : 2 * k])
+            i, f = i_f[:, :k], i_f[:, k:]
             g = np.tanh(z[:, 2 * k : 3 * k])
             o = sigmoid(z[:, 3 * k :])
             c_new = f * c + i * g
@@ -220,10 +220,11 @@ class RecurrentStack:
 
         Masks may have m*B rows for B input rows (m Monte-Carlo passes; row
         j*B + b reads input row b).  Layer 0's output does not depend on the
-        masks, so layer 0 runs once on the B rows and is tiled m times before
-        mask 0.  A lone row runs as two copies, one kept: numpy sends a
-        one-row matmul to gemv, which sums in another order than gemm.
-        Tiling is for inference only (no cache, no initial states).
+        masks, so layer 0 runs once on the B rows and mask 0 multiplies it
+        by broadcasting over the m passes, with no tiled copy.  A lone row
+        runs as two copies, one kept: numpy sends a one-row matmul to gemv,
+        which sums in another order than gemm.  The m*B-row form is for
+        inference only (no cache, no initial states).
         """
         if masks is not None and len(masks) != len(self.layers):
             raise ValueError(f"expected {len(self.layers)} masks, got {len(masks)}")
@@ -240,11 +241,12 @@ class RecurrentStack:
                 if cache or h0 is not None:
                     raise ValueError("masks with m*B rows are for inference only")
                 H = layer.forward(np.repeat(cur, 2, axis=1) if B == 1 else cur, cache=False)
-                H = np.tile(H[:, :B], (1, reps, 1))
+                T, _, w = H.shape
+                H = (H[:, None, :B] * mask.reshape(reps, B, w)).reshape(T, reps * B, w)
             else:
                 H = layer.forward(cur, h0=h0, cache=cache)
-            if mask is not None:
-                H = H * mask
+                if mask is not None:
+                    H *= mask  # H is this call's own array; no cache holds it
             cur = H
         return cur
 

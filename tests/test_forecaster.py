@@ -203,15 +203,20 @@ def _untrained_model(cell, use_policy_skip=True):
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_batched_forecast_with_policy_skip_matches_single_window_bitwise(cell, n):
+@pytest.mark.parametrize(
+    "n, kappa",
+    [(1, 8), (2, 8), (5, 8), (1, 1), (2, 1), (5, 1)],
+    ids=["1", "2", "5", "1-kappa1", "2-kappa1", "5-kappa1"],
+)
+def test_batched_forecast_with_policy_skip_matches_single_window_bitwise(cell, n, kappa):
+    # at kappa = 1 a lone window is one row through every layer and the readout
     model = _untrained_model(cell)
     rng = stream(2, "skip-batch", cell, n)
     windows = rng.normal(size=(n, TAU, 2))
     policies = rng.uniform(size=(n, HORIZON))  # a different path per window
-    batch = mc_forecast_batch(model, windows, policies, kappa=8, p=0.2, seed=4)
+    batch = mc_forecast_batch(model, windows, policies, kappa=kappa, p=0.2, seed=4)
     for i in range(n):
-        single = mc_forecast(model, windows[i], policies[i], kappa=8, p=0.2, seed=4)
+        single = mc_forecast(model, windows[i], policies[i], kappa=kappa, p=0.2, seed=4)
         assert np.array_equal(batch[:, i, :], single.samples), i
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from demandnet.forecaster import ForecasterArch
-from demandnet.nn.activations import get_activation
+from demandnet.nn.activations import get_activation, sigmoid
 from demandnet.nn.layers import DenseLayer, Parameter, sample_dropout_mask
 from demandnet.nn.loss import add_penalty_grads, mse_grad, penalized_loss
 from demandnet.nn.optim import Adam, DivergenceError, Sgd, TrainConfig, make_optimizer
@@ -27,6 +28,50 @@ def test_sigmoid_is_stable_at_extremes():
     vals = sigmoid(np.array([-1e4, 1e4]))
     assert vals[0] == 0.0 and vals[1] == 1.0
     assert np.isfinite(vals).all()
+
+
+def _two_branch_sigmoid(z):
+    """Reference: the masked stable form, 1/(1+exp(-z)) or exp(z)/(1+exp(z))."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+          709.8, -745.2, 1e308, -1e308, np.inf, -np.inf]
+_VIEWS = {
+    "contiguous": lambda a: a,
+    "strided columns": lambda a: a[..., ::2] if a.ndim else a,
+    "transpose": lambda a: a.T,
+}
+
+
+@settings(max_examples=200)
+@given(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=9),
+           elements=st.one_of(st.floats(allow_nan=False), st.floats(-40.0, 40.0),
+                              st.sampled_from(_EDGES))),
+    st.sampled_from(sorted(_VIEWS)),
+)
+def test_sigmoid_has_the_two_branch_bits(a, view):
+    z = _VIEWS[view](a)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = sigmoid(z)
+    expected = _two_branch_sigmoid(z)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sigmoid_maps_nan_to_nan():
+    z = np.array([[np.nan, -np.nan, 1.0], [0.0, np.nan, -np.inf]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = sigmoid(z)
+    assert np.array_equal(np.isnan(got), np.isnan(z))
+    assert got[0, 2] == sigmoid(np.array(1.0)) and got[1, 0] == 0.5 and got[1, 2] == 0.0
 
 
 def test_tanh_matches_numpy():
