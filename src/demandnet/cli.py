@@ -40,15 +40,14 @@ from .effects import fit_polynomial, marginal_effect
 from .evaluation import run_split80, run_unseen
 from .features import filter_static
 from .forecaster import (
-    effects_from_meta,
-    effects_meta,
-    effects_to_arrays,
     forecast_unseen,
+    load_effects,
     load_forecaster,
+    save_effects,
     save_forecaster,
     variance_vs_truth,
 )
-from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError
 from .nn.optim import DivergenceError
 from .pipeline import train_demandnet, train_effects_for
 
@@ -179,8 +178,7 @@ def cmd_train_effects(cfg: RunConfig) -> int:
     """Train the effects model and save its checkpoint."""
     bundles = _load_manifest_bundles(cfg)
     model, report = train_effects_for(bundles, cfg.pipeline(), seed=cfg.seed)
-    meta = {"effects": effects_meta(model), "seed": cfg.seed}
-    save_checkpoint(_effects_path(cfg), "effects", meta, effects_to_arrays(model))
+    save_effects(model, _effects_path(cfg), cfg.seed)
     _write_json(os.path.join(cfg.out_dir, "effects_training.json"), {
         "final_loss": model.train_history[-1] if model.train_history else None,
         "epochs": len(model.train_history),
@@ -198,8 +196,7 @@ def cmd_effects_curve(cfg: RunConfig) -> int:
         raise PrerequisiteError(
             f"no effects checkpoint at {path}; run `demandnet train-effects` first"
         )
-    meta, arrays = load_checkpoint(path, expected_kind="effects")
-    model = effects_from_meta(meta["effects"], arrays)
+    model = load_effects(path)
     if cfg.curve_feature == model.policy_feature:
         grid = np.linspace(0.0, 1.0, cfg.curve_points)
     else:
@@ -227,8 +224,7 @@ def cmd_train(cfg: RunConfig) -> int:
     bundles = _load_manifest_bundles(cfg)
     trained = train_demandnet(bundles, cfg.pipeline(), seed=cfg.seed)
     save_forecaster(trained.forecaster, _forecaster_path(cfg))
-    meta = {"effects": effects_meta(trained.effects), "seed": cfg.seed}
-    save_checkpoint(_effects_path(cfg), "effects", meta, effects_to_arrays(trained.effects))
+    save_effects(trained.effects, _effects_path(cfg), cfg.seed)
     summary = {
         "p_used": trained.p_used,
         "best_epoch": trained.forecaster.training.best_epoch,

@@ -45,8 +45,6 @@ class RunConfig:
     layers: int = 2
     dropout: float = 0.1
     use_policy_skip: bool = True
-    adjust_mode: str = "additive"
-    reference_policy: float = 0.0
 
     # pipeline
     horizons: tuple[int, ...] = (10, 20, 40, 80)
@@ -83,6 +81,13 @@ class RunConfig:
     curve_points: int = 101
     curve_degree: int = 3
 
+    def __post_init__(self):
+        # both trainers take their seed from ``seed``; a second one would be ignored
+        for section in ("effects_train", "forecaster_train"):
+            if getattr(self, section).seed != 0:
+                raise ConfigError(f"{section}.seed is not used; set the run seed "
+                                  f"with `seed` (--seed) instead")
+
     def pipeline(self) -> PipelineConfig:
         arch = ForecasterArch(
             cell=self.cell,
@@ -91,8 +96,6 @@ class RunConfig:
             horizon=max(self.horizons),
             dropout=self.dropout,
             use_policy_skip=self.use_policy_skip,
-            adjust_mode=self.adjust_mode,
-            reference_policy=self.reference_policy,
         )
         return PipelineConfig(
             tau=self.tau,

@@ -22,6 +22,7 @@ from .rngs import stream
 
 log = logging.getLogger(__name__)
 POLICY_BLOCK = 128  # rows per effects-network call in policy_delta
+HIDDEN_LAYERS = 2  # logistic hidden layers of a trained effects network
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def train_effect_model(X, y, feature_names, config: TrainConfig, hidden_width: i
         raise ValueError(f"bad training shapes X={X.shape} y={y.shape}")
     if X.shape[1] != len(tuple(feature_names)):
         raise ValueError(f"{X.shape[1]} columns but {len(tuple(feature_names))} names")
-    widths = (hidden_width,) * config.mlp_layers
+    widths = (hidden_width,) * HIDDEN_LAYERS
     model = EffectModel(
         feature_names, widths, rng=stream(config.seed, "effects", "init"),
         lam=config.weight_decay, policy_feature=policy_feature,

@@ -349,7 +349,7 @@ def _series_metrics(mean_paths, sd_paths, truths, scale) -> dict:
 
 def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
                           cfg: PipelineConfig, horizons, kappa: int,
-                          seed: int, p: float | None = None) -> dict:
+                          seed: int) -> dict:
     """Forecast every valid test-range origin of one series in one batch.
 
     Returns {horizon: per-series metric row}.  Stats come from the model
@@ -370,7 +370,7 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
         np.pad(raw_policy[t : t + H], (0, max(0, t + H - bundle.length)), mode="edge")
         for t in origins
     ])
-    samples = mc_forecast_batch(model, windows, policies, kappa=kappa, p=p, seed=seed)
+    samples = mc_forecast_batch(model, windows, policies, kappa=kappa, seed=seed)
     means, sds = mc_moments(samples)
     rows = {}
     valid = _per_origin_rows(horizons, origins, bundle.length)

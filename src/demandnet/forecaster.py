@@ -33,12 +33,10 @@ from .nn.optim import TrainConfig, fit
 from .nn.recurrent import RecurrentStack
 from .rngs import stream
 
-ADJUST_MODES = ("additive", "multiplicative")
-
 
 @dataclass(frozen=True)
 class ForecasterArch:
-    """Shape of the forecaster: cell kind, stack size, horizon, skip mode."""
+    """Shape of the forecaster: cell kind, stack size, horizon, policy skip."""
 
     cell: str = "gru"
     hidden: int = 128
@@ -46,8 +44,6 @@ class ForecasterArch:
     horizon: int = 80
     dropout: float = 0.1
     use_policy_skip: bool = True
-    adjust_mode: str = "additive"
-    reference_policy: float = 0.0
 
     def __post_init__(self):
         if self.cell not in ("lstm", "gru"):
@@ -56,10 +52,6 @@ class ForecasterArch:
             raise ValueError("hidden, layers, and horizon must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.adjust_mode not in ADJUST_MODES:
-            raise ValueError(f"adjust_mode must be one of {ADJUST_MODES}")
-        if not 0.0 <= self.reference_policy <= 1.0:
-            raise ValueError("reference_policy must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,15 +89,6 @@ def _as_policy_array(policies, horizon: int) -> np.ndarray:
     if values.shape != (horizon,):
         raise ValueError(f"expected a length-{horizon} policy path, got shape {values.shape}")
     return values
-
-
-def apply_adjustment(base: np.ndarray, delta: np.ndarray, mode: str) -> np.ndarray:
-    """Combine the base forecast with the policy shift."""
-    if mode == "additive":
-        return base + delta
-    if mode == "multiplicative":
-        return base * (1.0 + delta)
-    raise ValueError(f"adjust_mode must be one of {ADJUST_MODES}, got {mode!r}")
 
 
 class ForecasterModel:
@@ -164,14 +147,12 @@ class ForecasterModel:
         self.stack.backward(dH)
 
     def policy_deltas(self, policies: np.ndarray) -> np.ndarray:
-        """Per-step demand shifts for a (..., H) array of future policies."""
+        """Per-step demand shifts, relative to policy 0, for a (..., H) array
+        of future policies."""
         policies = np.asarray(policies, dtype=float)
         if not self.arch.use_policy_skip or self.effect_model is None:
             return np.zeros_like(policies)
-        return np.asarray(
-            policy_delta(self.effect_model, policies, self.arch.reference_policy),
-            dtype=float,
-        )
+        return np.asarray(policy_delta(self.effect_model, policies), dtype=float)
 
     def loss(self, batch, with_grads: bool = False) -> float:
         """Deterministic training loss (MSE after adjustment + L2 penalty)."""
@@ -183,12 +164,10 @@ class ForecasterModel:
                          with_grads: bool = False) -> float:
         labels = np.asarray(labels, dtype=float)
         base = self._forward_base(windows, masks=masks, cache=with_grads)
-        adjusted = apply_adjustment(base, delta, self.arch.adjust_mode)
+        adjusted = base + delta
         value = penalized_loss(adjusted, labels, self.parameters(), self.lam)
         if with_grads:
-            dadj = mse_grad(adjusted, labels)
-            dbase = dadj if self.arch.adjust_mode == "additive" else dadj * (1.0 + delta)
-            self._backward_base(dbase)
+            self._backward_base(mse_grad(adjusted, labels))
             add_penalty_grads(self.parameters(), self.lam)
         return value
 
@@ -356,7 +335,7 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     masks = [np.repeat(rows, len(W), axis=0) for rows in per_layer]
     base = model._forward_base(W, masks=masks, cache=False)[: kappa * N].reshape(kappa, N, -1)
     delta = model.policy_deltas(P)
-    return apply_adjustment(base, delta[None, :, :], model.arch.adjust_mode)
+    return base + delta[None, :, :]
 
 
 def mc_moments(samples: np.ndarray):
@@ -540,11 +519,22 @@ def save_forecaster(model: ForecasterModel, path):
     return save_checkpoint(path, "forecaster", meta, arrays)
 
 
+# older files store the skip rule and its reference level; only the values
+# every model used then have a meaning now
+_RETIRED_ARCH = {"adjust_mode": "additive", "reference_policy": 0.0}
+
+
 def load_forecaster(path) -> ForecasterModel:
     """Rebuild a forecaster bit-exactly from its checkpoint."""
     meta, arrays = load_checkpoint(path, expected_kind="forecaster")
     em = effects_from_meta(meta["effects"], arrays) if meta.get("effects") else None
-    arch = ForecasterArch(**meta["arch"])
+    fields = dict(meta["arch"])
+    for key, kept in _RETIRED_ARCH.items():
+        value = fields.pop(key, kept)
+        if value != kept:
+            raise CheckpointError(f"forecaster arch {key}={value!r} is not supported; "
+                                  f"only {kept!r} loads")
+    arch = ForecasterArch(**fields)
     model = ForecasterModel(
         arch, meta["tau"], tuple(meta["channel_names"]), meta["policy_channel"],
         effect_model=em, lam=meta["lam"],
@@ -557,3 +547,15 @@ def load_forecaster(path) -> ForecasterModel:
     if "mean_policy" in arrays:
         model.mean_policy = np.asarray(arrays["mean_policy"], dtype=float)
     return model
+
+
+def save_effects(em: EffectModel, path, seed: int):
+    """Write a stand-alone effects-model checkpoint with its training seed."""
+    meta = {"effects": effects_meta(em), "seed": seed}
+    return save_checkpoint(path, "effects", meta, effects_to_arrays(em))
+
+
+def load_effects(path) -> EffectModel:
+    """Rebuild an effects model from :func:`save_effects` output."""
+    meta, arrays = load_checkpoint(path, expected_kind="effects")
+    return effects_from_meta(meta["effects"], arrays)

@@ -33,16 +33,16 @@ class TrainConfig:
     """Shared training hyperparameters.
 
     Defaults are the published operating point (batch 128, learning rate
-    1e-5, weight decay 1e-6, 100 epochs, 2 effects-network layers); every
-    field can be overridden per experiment.  The recurrent stack's shape
-    belongs to ``ForecasterArch``.
+    1e-5, weight decay 1e-6, 100 epochs); every field can be overridden per
+    experiment.  ``seed`` picks the RNG streams; the pipeline sets it from
+    the run seed.  Network shapes belong to ``ForecasterArch`` and
+    :mod:`demandnet.effects` (two hidden layers).
     """
 
     learning_rate: float = 1e-5
     weight_decay: float = 1e-6
     batch_size: int = 128
     epochs: int = 100
-    mlp_layers: int = 2
     optimizer: str = "sgd"
     seed: int = 0
 
@@ -53,8 +53,6 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.mlp_layers < 1:
-            raise ValueError("mlp_layers must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.seed < 0:

@@ -162,17 +162,14 @@ def train_demandnet(bundles: list[SeriesBundle], cfg: PipelineConfig,
     # skip connection is ablated
     if model.effect_model is None:
         model.effect_model = effects
-    p_used = arch.dropout
+    model.mc_p = arch.dropout
     if cfg.optimize_p and cfg.dropout_candidates:
         pooled = pooled_validation_windows(bundles, cfg, arch.horizon)
         if pooled is None:
-            log.warning("no validation windows for dropout selection; keeping p=%.3f", p_used)
-            model.mc_p = p_used
+            log.warning("no validation windows for dropout selection; keeping p=%.3f",
+                        model.mc_p)
         else:
-            p_used = optimize_dropout(
-                model, *pooled, candidates=cfg.dropout_candidates,
-                kappa=cfg.kappa, seed=seed,
-            )
-    else:
-        model.mc_p = p_used
-    return TrainedPipeline(forecaster=model, effects=effects, screening=report, p_used=p_used)
+            optimize_dropout(model, *pooled, candidates=cfg.dropout_candidates,
+                             kappa=cfg.kappa, seed=seed)
+    return TrainedPipeline(forecaster=model, effects=effects, screening=report,
+                           p_used=model.mc_p)

@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 import warnings
 
 import pytest
 
 from demandnet.cli import COMMANDS, build_parser, main
+from demandnet.nn.checkpoint import load_checkpoint, save_checkpoint
 
 SMALL_RUN = {
     "cell": "gru",
@@ -250,6 +252,20 @@ def test_divergence_reports_one_error_line_and_no_numpy_warnings(tmp_path, capsy
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_forecast_with_another_skip_rule_is_one_error_line(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_dir, "manifest.json"), out)
+    meta, arrays = load_checkpoint(os.path.join(pipeline_dir, "forecaster.npz"),
+                                   expected_kind="forecaster")
+    meta["arch"]["adjust_mode"] = "multiplicative"
+    save_checkpoint(out / "forecaster.npz", "forecaster", meta, arrays)
+    capsys.readouterr()
+    assert _run("forecast", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "adjust_mode" in err[0]
 
 
 def test_every_subcommand_has_help_text():

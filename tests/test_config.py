@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,9 @@ from demandnet.config import (
     load_run_config,
     parse_override,
 )
+from demandnet.forecaster import ForecasterArch
 from demandnet.nn.optim import TrainConfig
+from demandnet.pipeline import PipelineConfig
 
 
 def test_run_defaults():
@@ -70,6 +73,27 @@ def test_unknown_key_suggests_nearest_field():
 def test_unknown_nested_key_reports_dotted_path():
     with pytest.raises(ConfigError, match="forecaster_train.epochz"):
         load_run_config(overrides=("forecaster_train.epochz=3",))
+
+
+@pytest.mark.parametrize("key, value", [("adjust_mode", "additive"),
+                                        ("reference_policy", 0.0),
+                                        ("forecaster_train.mlp_layers", 2)])
+def test_retired_keys_are_unknown(key, value):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        load_run_config(overrides=(f"{key}={json.dumps(value)}",))
+
+
+@pytest.mark.parametrize("section", ["effects_train", "forecaster_train"])
+def test_trainer_seed_override_is_a_config_error(section):
+    # both trainers draw from the run seed, so a second seed would be ignored
+    with pytest.raises(ConfigError, match=f"{section}.seed"):
+        load_run_config(overrides=(f"{section}.seed=3",))
+    assert getattr(load_run_config(overrides=(f"{section}.seed=0",)), section).seed == 0
+
+
+def test_config_snapshot_replays():
+    snapshot = json.loads(json.dumps(RunConfig(seed=4, tau=12).to_dict()))
+    assert dataclass_from_dict(RunConfig, snapshot) == RunConfig(seed=4, tau=12)
 
 
 def test_nested_dict_becomes_train_config():
@@ -139,12 +163,36 @@ def test_top_level_must_be_an_object(tmp_path):
 # pipeline mapping
 
 
+# a non-default value for every RunConfig field that PipelineConfig or
+# ForecasterArch also has
+SHARED_VALUES = {
+    "tau": 16,
+    "horizons": (4, 12),
+    "kappa": 10,
+    "fractions": (0.7, 0.2, 0.1),
+    "band": 0.4,
+    "include_statics": False,
+    "dropout_candidates": (0.1, 0.2),
+    "optimize_p": False,
+    "effects_width": 8,
+    "effects_train": TrainConfig(epochs=4),
+    "forecaster_train": TrainConfig(epochs=3),
+    "cell": "lstm",
+    "hidden": 24,
+    "layers": 3,
+    "dropout": 0.3,
+    "use_policy_skip": False,
+}
+
+
 def test_pipeline_mapping_threads_shared_fields():
-    cfg = RunConfig(cell="lstm", tau=16, hidden=24, horizons=(4, 12), kappa=10)
-    pipe = cfg.pipeline()
-    assert pipe.tau == 16
-    assert pipe.kappa == 10
-    assert pipe.arch.cell == "lstm"
-    assert pipe.arch.hidden == 24
-    assert pipe.arch.horizon == 12
-    assert pipe.forecaster_train is cfg.forecaster_train
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    arch_names = names(ForecasterArch)
+    assert set(SHARED_VALUES) == names(RunConfig) & (names(PipelineConfig) | arch_names)
+    for name, value in SHARED_VALUES.items():
+        assert getattr(RunConfig(), name) != value, name
+        pipe = RunConfig(**{name: value}).pipeline()
+        assert getattr(pipe.arch if name in arch_names else pipe, name) == value, name
+    assert RunConfig(horizons=(4, 12)).pipeline().arch.horizon == 12

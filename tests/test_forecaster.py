@@ -5,7 +5,6 @@ from demandnet.effects import EffectModel, marginal_effect, policy_delta
 from demandnet.forecaster import (
     ForecasterArch,
     ForecasterModel,
-    apply_adjustment,
     forecast_unseen,
     load_forecaster,
     mc_forecast,
@@ -87,8 +86,6 @@ def test_arch_published_defaults():
     {"horizon": 0},
     {"dropout": 1.0},
     {"dropout": -0.1},
-    {"adjust_mode": "subtractive"},
-    {"reference_policy": 1.5},
 ])
 def test_arch_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
@@ -114,26 +111,21 @@ def test_model_rejects_target_as_policy_channel():
 
 
 def test_additive_adjustment_shifts_forecast():
-    got = apply_adjustment(np.array([2.0]), np.array([0.5]), "additive")
-    assert got == pytest.approx([2.5], abs=0.0)
-
-
-def test_multiplicative_adjustment_scales_forecast():
-    # delta is a fractional change: 2 * (1 + 0.5) = 3.
-    got = apply_adjustment(np.array([2.0]), np.array([0.5]), "multiplicative")
-    assert got == pytest.approx([3.0], abs=0.0)
-
-
-def test_adjustment_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="adjust_mode"):
-        apply_adjustment(np.zeros(2), np.zeros(2), "subtractive")
+    # the skip connection adds the effects model's shift relative to policy 0
+    skip = _untrained_model("gru")
+    plain = _untrained_model("gru", use_policy_skip=False)
+    rng = stream(5, "additive")
+    windows, policies = rng.normal(size=(3, TAU, 2)), rng.uniform(size=(3, HORIZON))
+    got = mc_forecast_batch(skip, windows, policies, kappa=4, p=0.2, seed=1)
+    base = mc_forecast_batch(plain, windows, policies, kappa=4, p=0.2, seed=1)
+    assert np.array_equal(got, base + policy_delta(skip.effect_model, policies, 0.0))
 
 
 def test_policy_adjustment_follows_the_marginal_effect():
     em = _effect_model()
     base = np.array([1.0, 1.0, 1.0, 1.0])
     policies = np.array([0.0, 0.25, 0.5, 1.0])
-    got = apply_adjustment(base, policy_delta(em, policies, 0.0), "additive")
+    got = base + policy_delta(em, policies, 0.0)
     curve = marginal_effect(em, "policy", np.array([0.0, *policies]))
     np.testing.assert_allclose(got, base + curve.values[1:] - curve.values[0],
                                rtol=0, atol=1e-12)
@@ -380,6 +372,31 @@ def test_checkpoint_with_older_stats_keys_loads(skip_model, tmp_path):
     for sid, stats in skip_model.norm_stats.items():
         assert loaded.norm_stats[sid].location.tobytes() == stats.location.tobytes()
         assert loaded.norm_stats[sid].scale.tobytes() == stats.scale.tobytes()
+
+
+def test_checkpoint_with_retired_arch_keys_loads(skip_model, tmp_path):
+    # earlier files also stored the skip rule and its reference level; the
+    # values every model used load unchanged
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    meta["arch"].update(adjust_mode="additive", reference_policy=0.0)
+    save_checkpoint(path, "forecaster", meta, arrays)
+    loaded = load_forecaster(path)
+    assert loaded.arch == skip_model.arch
+    assert loaded.param_hash() == skip_model.param_hash()
+
+
+@pytest.mark.parametrize("key, value", [("adjust_mode", "multiplicative"),
+                                        ("reference_policy", 0.3)])
+def test_checkpoint_with_another_skip_rule_is_refused(skip_model, tmp_path, key, value):
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    meta["arch"][key] = value
+    save_checkpoint(path, "forecaster", meta, arrays)
+    with pytest.raises(CheckpointError, match=key):
+        load_forecaster(path)
 
 
 # ----------------------------------------------------------------------------

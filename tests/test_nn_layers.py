@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from demandnet.effects import HIDDEN_LAYERS
 from demandnet.forecaster import ForecasterArch
 from demandnet.nn.activations import get_activation, sigmoid
 from demandnet.nn.layers import DenseLayer, Parameter, sample_dropout_mask
@@ -248,7 +249,7 @@ def test_published_operating_point_is_the_default():
     assert cfg.weight_decay == 1e-6
     assert cfg.batch_size == 128
     assert cfg.epochs == 100
-    assert cfg.mlp_layers == 2
+    assert HIDDEN_LAYERS == 2
     assert ForecasterArch().hidden == 128
     assert ForecasterArch().layers == 2
     assert cfg.optimizer == "sgd"
