@@ -121,7 +121,7 @@ def _suggest(key: str, options) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def _coerce(value, tp, path: str):
+def _coerce(value, tp, path: str, default=None):
     origin = typing.get_origin(tp)
     if tp is typing.Any:
         return value
@@ -131,11 +131,12 @@ def _coerce(value, tp, path: str):
             if type(None) in typing.get_args(tp):
                 return None
             raise ConfigError(f"{path}: null not allowed")
-        return _coerce(value, args[0], path)
+        return _coerce(value, args[0], path, default)
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-        return dataclass_from_dict(tp, value, path)
+        return dataclass_from_dict(tp, value, path,
+                                   default if isinstance(default, tp) else None)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
@@ -172,16 +173,25 @@ def _coerce(value, tp, path: str):
     return value
 
 
-def dataclass_from_dict(cls, data: dict, path: str = ""):
-    """Build any config dataclass from a plain dict, strictly."""
+def dataclass_from_dict(cls, data: dict, path: str = "", base=None):
+    """Build any config dataclass from a plain dict, strictly.
+
+    ``base`` is the enclosing config's default for this section: the fields
+    it sets away from ``cls()`` stay unless ``data`` gives them, so
+    ``forecaster_train.epochs=15`` keeps the rest of
+    ``RunConfig().forecaster_train`` rather than ``TrainConfig()``'s values.
+    """
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
+    if base is not None:
+        plain = cls()
+        kwargs = {k: getattr(base, k) for k in defaults if getattr(base, k) != getattr(plain, k)}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in names:
-            raise ConfigError(f"unknown config key {where!r}{_suggest(key, names)}")
-        kwargs[key] = _coerce(value, hints[key], where)
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {where!r}{_suggest(key, defaults)}")
+        kwargs[key] = _coerce(value, hints[key], where, defaults[key])
     try:
         return cls(**kwargs)
     except ValueError as exc:

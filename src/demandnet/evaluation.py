@@ -4,9 +4,12 @@ Metric aggregation is fixed throughout: compute the metric per forecast
 origin, then take arithmetic means across origins, then series, then seeds.
 Baselines are tuned per (series, horizon) on the validation range with
 labels clipped at the validation boundary so nothing leaks from the test
-range.  The ES baseline is tuned and forecast from one recursion per
-(alpha, beta), read at every origin.  All modeling happens in per-series
-normalized units; denormalized errors are carried alongside.
+range.  Each baseline is computed for all origins in one pass: exponential
+smoothing runs one recursion with its whole (alpha, beta) grid as a vector
+and reads every origin's state from it; AR(p) takes each origin's normal
+equations from running sums over one design matrix and solves and iterates
+them stacked.  All modeling happens in per-series normalized units;
+denormalized errors are carried alongside.
 """
 
 from __future__ import annotations
@@ -68,56 +71,77 @@ def pred_sd(samples) -> float:
 # Classical baselines
 
 
-def _exp_smoothing_path(x: np.ndarray, alpha: float, beta: float | None = None):
-    """One ES recursion over ``x``; returns ``fn(t, horizon)``, the forecast
-    from the state recorded after ``x[:t]``.
+def _es_grid(x: np.ndarray, alphas, betas=None):
+    """The ES recursion over ``x`` for every alpha (simple smoothing) or for
+    every pair in ``alphas`` x ``betas`` (Holt, alpha-major), run once with the
+    grid as a vector.  Returns ``fn(ts, horizon)``, the ``(K, len(ts), horizon)``
+    forecasts from the states after ``x[:t]``.
 
     Simple: the level starts at ``x[0]`` and is updated through every
     observation, ``x[0]`` included; the forecast repeats it.  Holt: the level
     starts at ``x[0]``, the trend at ``x[1] - x[0]``, updates run from ``x[1]``
-    on, and the forecast extrapolates ``level + m * trend``.
+    on, and the forecast extrapolates ``level + m * trend``.  Each column does
+    the scalar recursion's operations in the same order, so it has its bits.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if beta is not None and not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas > 0.0) & (alphas <= 1.0)):
+        raise ValueError(f"alpha must be in (0, 1], got {alphas}")
+    if betas is not None:
+        betas = np.asarray(betas, dtype=float)
+        if not np.all((betas >= 0.0) & (betas <= 1.0)):
+            raise ValueError(f"beta must be in [0, 1], got {betas}")
+        alphas, betas = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
     values = x.tolist()
-    if beta is None:
-        states, level = [None], values[0] if values else np.nan
-        for value in values:
-            level = alpha * value + (1.0 - alpha) * level
-            states.append(level)
+    keep = 1.0 - alphas
+    level = np.full((x.size + 1, alphas.size), np.nan)  # row t: the state after x[:t]
+    if betas is None:
+        lev = np.full(alphas.size, values[0] if values else np.nan)
+        for t, value in enumerate(values, 1):
+            lev = alphas * value + keep * lev
+            level[t] = lev
     else:
-        states = [None, None]
-        level, trend = (values[0], values[1] - values[0]) if len(values) > 1 else (np.nan, np.nan)
-        for value in values[1:]:
-            new_level = alpha * value + (1.0 - alpha) * (level + trend)
-            level, trend = new_level, beta * (new_level - level) + (1.0 - beta) * trend
-            states.append((level, trend))
+        damp = 1.0 - betas
+        trend = np.full_like(level, np.nan)
+        if len(values) > 1:
+            lev, tr = np.full(alphas.size, values[0]), np.full(alphas.size, values[1] - values[0])
+        for t in range(2, len(values) + 1):
+            new = alphas * values[t - 1] + keep * (lev + tr)
+            lev, tr = new, betas * (new - lev) + damp * tr
+            level[t], trend[t] = lev, tr
 
-    def forecast(t: int, horizon: int) -> np.ndarray:
-        if t < 1:
+    def forecast(ts, horizon: int) -> np.ndarray:
+        ts = np.asarray(ts, dtype=int)
+        if ts.min() < 1:
             raise ValueError("history must be a non-empty 1-D array")
-        if beta is None:
-            return np.full(horizon, states[t])
-        if t < 2:
+        lev = level[ts].T[:, :, None]
+        if betas is None:
+            return np.repeat(lev, horizon, axis=2)
+        if ts.min() < 2:
             raise ValueError("Holt smoothing needs at least two observations")
-        level, trend = states[t]
-        return level + trend * np.arange(1, horizon + 1, dtype=float)
+        paths = trend[ts].T[:, :, None] * np.arange(1, horizon + 1, dtype=float)
+        paths += lev  # the bits of lev + m * trend, one (K, n, horizon) array
+        return paths
 
     return forecast
+
+
+def _exp_smoothing_path(x: np.ndarray, alpha: float, beta: float | None = None):
+    """The one-column ``_es_grid`` for (alpha, beta); returns ``fn(ts, horizon)``,
+    the ``(len(ts), horizon)`` forecasts from the states after ``x[:t]``."""
+    grid = _es_grid(x, [alpha], None if beta is None else [beta])
+    return lambda ts, horizon: grid(ts, horizon)[0]
 
 
 def exp_smoothing_forecast(history, alpha: float, horizon: int,
                            beta: float | None = None) -> np.ndarray:
     """Exponential smoothing forecast, simple (flat) or Holt (trended), from
-    the whole history; see ``_exp_smoothing_path``."""
+    the whole history; see ``_es_grid``."""
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be a non-empty 1-D array")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _exp_smoothing_path(x, alpha, beta)(x.size, horizon)
+    return _exp_smoothing_path(x, alpha, beta)([x.size], horizon)[0]
 
 
 def seasonal_naive_forecast(history, horizon: int, period: int = 7) -> np.ndarray:
@@ -130,93 +154,118 @@ def seasonal_naive_forecast(history, horizon: int, period: int = 7) -> np.ndarra
     return np.tile(cycle, reps)[:horizon]
 
 
+def _ar_paths(series, p: int, origins, steps: int, ridge: float = 1e-6) -> np.ndarray:
+    """AR(p) forecasts ``steps`` ahead from ``series[:t]`` for every t in
+    ``origins``, shape ``(len(origins), steps)``; see ``ar_forecast``.
+
+    The design matrix is built once, over the longest history.  The normal
+    equations of consecutive origins differ by one row's outer product, so
+    each origin's ``AᵀA`` and ``Aᵀy`` are running sums over the design rows.
+    They run from the first row whatever the batch, so an origin's forecast
+    has the same bits alone as among others.  The condition check, the solves
+    and the forecast recursion run stacked over the origins.
+    """
+    x = np.asarray(series, dtype=float)
+    ts = np.asarray(origins, dtype=int)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if steps < 1:
+        raise ValueError("horizon must be >= 1")
+    if ts.min() < p + 2:
+        raise ValueError(f"need at least {p + 2} observations for AR({p}), got {ts.min()}")
+    d = np.diff(x[: ts.max()])
+    future = np.empty((ts.size, steps))
+    # a perfectly regular ramp (constant differences) continues exactly
+    spread = np.maximum.accumulate(d)[ts - 2] - np.minimum.accumulate(d)[ts - 2]
+    ramp = spread == 0.0
+    future[ramp] = d[ts[ramp] - 2, None]
+    fit = ts[~ramp]
+    if fit.size:
+        A = np.empty((d.size - p, p + 1))
+        A[:, 0] = 1.0
+        for lag in range(1, p + 1):
+            A[:, lag] = d[p - lag : d.size - lag]
+        y = d[p:]
+        last = fit - 2 - p  # the fit from series[:t] uses design rows 0 .. t - 2 - p
+        G = A[:, :, None] * A[:, None, :]
+        G = np.cumsum(G, axis=0, out=G)[last]  # in place: one (rows, p+1, p+1) array
+        rhs = np.cumsum(A * y[:, None], axis=0)[last, :, None]
+        ok = np.isfinite(G).all(axis=(1, 2))
+        ok[ok] = np.linalg.cond(G[ok]) <= 1e12
+        coef = np.empty((fit.size, p + 1))
+        coef[ok] = np.linalg.solve(G[ok], rhs[ok])[..., 0]
+        if not ok.all():
+            log.debug("AR(%d) normal equations ill-conditioned at %d of %d origins; "
+                      "ridge fallback", p, np.count_nonzero(~ok), fit.size)
+            coef[~ok] = np.linalg.solve(G[~ok] + ridge * np.eye(p + 1), rhs[~ok])[..., 0]
+        state = d[(fit - 2)[:, None] - np.arange(p)]  # most recent difference first
+        fitted = np.empty((fit.size, steps))
+        for m in range(steps):
+            fitted[:, m] = coef[:, 0] + np.einsum("ij,ij->i", coef[:, 1:], state)
+            state[:, 1:] = state[:, :-1]
+            state[:, 0] = fitted[:, m]
+        future[~ramp] = fitted
+    return x[ts - 1, None] + np.cumsum(future, axis=1)
+
+
 def ar_forecast(history, p: int, horizon: int, ridge: float = 1e-6) -> np.ndarray:
     """AR(p) on first differences, least squares with intercept, iterated
     forward and re-integrated.
 
     A perfectly regular ramp (constant differences) short-circuits to exact
     continuation.  Ill-conditioned normal equations fall back to a small
-    ridge, logged.
+    ridge, logged.  One origin of ``_ar_paths``.
     """
     x = np.asarray(history, dtype=float)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if x.size < p + 2:
-        raise ValueError(f"need at least {p + 2} observations for AR({p}), got {x.size}")
-    d = np.diff(x)
-    if np.ptp(d) == 0.0:
-        future = np.full(horizon, d[-1])
-        return x[-1] + np.cumsum(future)
-    rows = d.size - p
-    A = np.empty((rows, p + 1))
-    A[:, 0] = 1.0
-    for lag in range(1, p + 1):
-        A[:, lag] = d[p - lag : d.size - lag]
-    y = d[p:]
-    G = A.T @ A
-    rhs = A.T @ y
-    use_ridge = False
-    try:
-        if np.linalg.cond(G) > 1e12:
-            use_ridge = True
-        else:
-            coef = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        use_ridge = True
-    if use_ridge:
-        log.debug("AR(%d) normal equations ill-conditioned; ridge fallback", p)
-        coef = np.linalg.solve(G + ridge * np.eye(p + 1), rhs)
-    state = d[-p:][::-1].copy()  # most recent difference first
-    future = np.empty(horizon)
-    for m in range(horizon):
-        nxt = coef[0] + coef[1:] @ state
-        future[m] = nxt
-        state[1:] = state[:-1]
-        state[0] = nxt
-    return x[-1] + np.cumsum(future)
+    return _ar_paths(x, p, [x.size], horizon, ridge)[0]
 
 
-def _clipped_score(series: np.ndarray, origins, horizon: int, limit: int, forecast_fn) -> float:
-    """Mean MAE of ``forecast_fn(t, h)`` over origins t, labels clipped at ``limit``."""
-    scores = []
-    for t in origins:
-        h_eff = min(horizon, limit - t)
-        if h_eff < 1:
-            continue
-        pred = forecast_fn(t, h_eff)
-        scores.append(float(np.mean(np.abs(pred - series[t : t + h_eff]))))
-    if not scores:
+def _clipped_scores(series: np.ndarray, origins, horizon: int, limit: int, paths_fn):
+    """Mean MAE over origins t of the forecasts ``paths_fn(ts, horizon)[..., i, :]``
+    from ``series[:t]``, labels clipped at ``limit``; one score per leading index.
+
+    A clipped origin scores its path's prefix, which every baseline's shorter
+    forecast equals.  ``np.add.reduce(v) / n`` has ``np.mean``'s bits.
+    """
+    ts = [t for t in origins if limit - t >= 1]
+    if not ts:
         raise ValueError("no scorable validation origins")
-    return float(np.mean(scores))
+    paths = paths_fn(ts, horizon)
+    per_origin = np.empty((*paths.shape[:-2], len(ts)))
+    for i, t in enumerate(ts):
+        h = min(horizon, limit - t)
+        per_origin[..., i] = np.add.reduce(np.abs(paths[..., i, :h] - series[t : t + h]),
+                                           axis=-1) / h
+    return np.add.reduce(per_origin, axis=-1) / len(ts)
 
 
 def tune_exp_smoothing(series, origins, horizon: int, limit: int,
                        alphas=EXP_SMOOTHING_ALPHAS, betas=EXP_SMOOTHING_BETAS):
-    """Grid-search (alpha, beta-or-None) by validation MAE, one recursion per pair;
-    first best wins."""
+    """Grid-search (alpha, beta-or-None) by validation MAE; first best wins.
+    One ``_es_grid`` recursion scores every alpha, one more every (alpha, beta)."""
     series = np.asarray(series, dtype=float)
+    simple, holt = (
+        _clipped_scores(series, origins, horizon, limit, _es_grid(series[:limit], alphas, b))
+        for b in (None, betas)
+    )
     best, best_score = None, np.inf
-    for alpha in alphas:
-        for beta in (None, *betas):
-            score = _clipped_score(series, origins, horizon, limit,
-                                   _exp_smoothing_path(series[:limit], alpha, beta))
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate((None, *betas)):
+            score = simple[i] if beta is None else holt[i * len(betas) + j - 1]
             if score < best_score:
                 best, best_score = (alpha, beta), score
     return best
 
 
 def tune_ar(series, origins, horizon: int, limit: int, orders=AR_ORDERS) -> int:
-    """Pick the AR order with the best clipped validation MAE."""
+    """Pick the AR order with the best clipped validation MAE, one
+    ``_ar_paths`` call per order."""
     series = np.asarray(series, dtype=float)
     best, best_score = None, np.inf
     for p in orders:
         try:
-            score = _clipped_score(
-                series, origins, horizon, limit,
-                lambda t, m, p=p: ar_forecast(series[:t], p, m),
-            )
+            score = _clipped_scores(series, origins, horizon, limit,
+                                    lambda ts, h, p=p: _ar_paths(series, p, ts, h))
         except ValueError:
             continue
         if score < best_score:
@@ -399,15 +448,15 @@ def classical_eval_bundle(bundle: SeriesBundle, cfg: PipelineConfig,
             fn = _exp_smoothing_path(series, *tune_exp_smoothing(series, val_origins, h, limit))
         elif method == "ar":
             p = tune_ar(series, val_origins, h, limit)
-            fn = lambda t, m, p=p: ar_forecast(series[:t], p, m)
+            fn = lambda ts, m, p=p: _ar_paths(series, p, ts, m)
         elif method == "seasonal_naive":
-            fn = lambda t, m: seasonal_naive_forecast(series[:t], m)
+            fn = lambda ts, m: np.stack([seasonal_naive_forecast(series[:t], m) for t in ts])
         else:
             raise ValueError(f"unknown classical method {method!r}")
         origins = [t for t in range(split.test.start, bundle.length - h + 1)]
         if not origins:
             continue
-        mean_paths = [fn(t, h) for t in origins]
+        mean_paths = fn(origins, h)
         truths = [series[t : t + h] for t in origins]
         rows[h] = _series_metrics(mean_paths, None, truths, scale)
     return rows

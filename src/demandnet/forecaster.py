@@ -14,7 +14,7 @@ within each pass.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -528,13 +528,16 @@ def load_forecaster(path) -> ForecasterModel:
     """Rebuild a forecaster bit-exactly from its checkpoint."""
     meta, arrays = load_checkpoint(path, expected_kind="forecaster")
     em = effects_from_meta(meta["effects"], arrays) if meta.get("effects") else None
-    fields = dict(meta["arch"])
+    given = dict(meta["arch"])
     for key, kept in _RETIRED_ARCH.items():
-        value = fields.pop(key, kept)
+        value = given.pop(key, kept)
         if value != kept:
             raise CheckpointError(f"forecaster arch {key}={value!r} is not supported; "
                                   f"only {kept!r} loads")
-    arch = ForecasterArch(**fields)
+    unknown = sorted(set(given) - {f.name for f in fields(ForecasterArch)})
+    if unknown:
+        raise CheckpointError(f"forecaster arch carries unsupported fields {unknown}")
+    arch = ForecasterArch(**given)
     model = ForecasterModel(
         arch, meta["tau"], tuple(meta["channel_names"]), meta["policy_channel"],
         effect_model=em, lam=meta["lam"],

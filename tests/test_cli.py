@@ -268,6 +268,20 @@ def test_forecast_with_another_skip_rule_is_one_error_line(pipeline_dir, tmp_pat
     assert len(err) == 1 and err[0].startswith("error:") and "adjust_mode" in err[0]
 
 
+def test_forecast_with_an_unknown_arch_field_is_one_error_line(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_dir, "manifest.json"), out)
+    meta, arrays = load_checkpoint(os.path.join(pipeline_dir, "forecaster.npz"),
+                                   expected_kind="forecaster")
+    meta["arch"]["skip_scale"] = 1.0
+    save_checkpoint(out / "forecaster.npz", "forecaster", meta, arrays)
+    capsys.readouterr()
+    assert _run("forecast", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "skip_scale" in err[0]
+
+
 def test_every_subcommand_has_help_text():
     listing = " ".join(build_parser().format_help().split())
     for name, fn in COMMANDS.items():

@@ -102,6 +102,21 @@ def test_nested_dict_becomes_train_config():
     assert cfg.forecaster_train.epochs == 7
 
 
+def test_a_partial_section_keeps_the_run_defaults_for_the_rest(tmp_path):
+    # the sections start from RunConfig's operating point, not TrainConfig's
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"effects_train": {"epochs": 9}}))
+    run = RunConfig()
+    from_file = load_run_config(str(path))
+    from_set = load_run_config(overrides=("forecaster_train.epochs=15",))
+    both = load_run_config(str(path), overrides=("effects_train.learning_rate=0.1",))
+    assert from_file.effects_train == dataclasses.replace(run.effects_train, epochs=9)
+    assert from_file.forecaster_train == run.forecaster_train
+    assert from_set.forecaster_train == dataclasses.replace(run.forecaster_train, epochs=15)
+    assert both.effects_train == dataclasses.replace(run.effects_train, epochs=9,
+                                                     learning_rate=0.1)
+
+
 def test_lists_coerce_to_tuples():
     cfg = dataclass_from_dict(RunConfig, {"horizons": [4, 8], "held_ids": ["S01", "S02"]})
     assert cfg.horizons == (4, 8)

@@ -7,6 +7,8 @@ from demandnet.config import PipelineConfig
 from demandnet.evaluation import (
     EXP_SMOOTHING_ALPHAS,
     EXP_SMOOTHING_BETAS,
+    _ar_paths,
+    _es_grid,
     _exp_smoothing_path,
     ar_forecast,
     exp_smoothing_forecast,
@@ -108,11 +110,48 @@ def test_one_pass_es_equals_per_origin_es_bitwise(values, alpha, beta, horizon, 
     x = np.asarray(values)
     first = 1 if beta is None else 2
     origins = data.draw(st.lists(st.integers(first, x.size), min_size=1, max_size=20))
-    path = _exp_smoothing_path(x, alpha, beta)
-    for t in origins:
+    paths = _exp_smoothing_path(x, alpha, beta)(origins, horizon)
+    for t, got in zip(origins, paths):
         want = _per_origin_es(x[:t], alpha, horizon, beta).tobytes()
-        assert path(t, horizon).tobytes() == want
+        assert got.tobytes() == want
         assert exp_smoothing_forecast(x[:t], alpha, horizon, beta=beta).tobytes() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=60),
+    alphas=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5),
+    betas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    horizon=st.integers(1, 8),
+)
+def test_es_grid_columns_equal_the_scalar_recursion_and_tune_alike(values, alphas, betas,
+                                                                   horizon):
+    x = np.asarray(values)
+    simple = _es_grid(x, alphas)(range(1, x.size + 1), 2)
+    holt = _es_grid(x, alphas, betas)(range(2, x.size + 1), 3)
+    for i, alpha in enumerate(alphas):
+        for t in range(1, x.size + 1):
+            want = _per_origin_es(x[:t], alpha, 2)
+            assert simple[i, t - 1].tobytes() == want.tobytes()
+        for j, beta in enumerate(betas):
+            for t in range(2, x.size + 1):
+                want = _per_origin_es(x[:t], alpha, 3, beta)
+                assert holt[i * len(betas) + j, t - 2].tobytes() == want.tobytes()
+    # the per-pair loop the grid replaces: first best wins
+    limit = x.size
+    origins = range(limit - 6, limit)
+    best, best_score = None, np.inf
+    for alpha in alphas:
+        for beta in (None, *betas):
+            scores = []
+            for t in origins:
+                h = min(horizon, limit - t)
+                pred = _per_origin_es(x[:t], alpha, h, beta)
+                scores.append(float(np.mean(np.abs(pred - x[t : t + h]))))
+            score = float(np.mean(scores))
+            if score < best_score:
+                best, best_score = (alpha, beta), score
+    assert tune_exp_smoothing(x, origins, horizon, limit, alphas=alphas, betas=betas) == best
 
 
 def test_es_origins_too_short_for_the_recursion_raise():
@@ -125,6 +164,91 @@ def test_es_origins_too_short_for_the_recursion_raise():
         exp_smoothing_forecast([1.0], 0.5, 3, beta=0.1)
     with pytest.raises(ValueError, match="at least two observations"):
         tune_exp_smoothing(series, [1], 3, limit=10)
+
+
+def _per_origin_ar(history, p, horizon, ridge=1e-6):
+    """Reference AR: one least-squares fit per origin, as before the running sums."""
+    x = np.asarray(history, dtype=float)
+    d = np.diff(x)
+    if np.ptp(d) == 0.0:
+        return x[-1] + np.cumsum(np.full(horizon, d[-1]))
+    A = np.empty((d.size - p, p + 1))
+    A[:, 0] = 1.0
+    for lag in range(1, p + 1):
+        A[:, lag] = d[p - lag : d.size - lag]
+    G, rhs = A.T @ A, A.T @ d[p:]
+    if np.linalg.cond(G) > 1e12:
+        G = G + ridge * np.eye(p + 1)
+    coef = np.linalg.solve(G, rhs)
+    state = d[-p:][::-1].copy()
+    future = np.empty(horizon)
+    for m in range(horizon):
+        future[m] = coef[0] + coef[1:] @ state
+        state[1:] = state[:-1]
+        state[0] = future[m]
+    return x[-1] + np.cumsum(future)
+
+
+def _noisy_series(seed, n=200):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.normal(size=n)) + np.sin(2 * np.pi * np.arange(n) / 7)
+
+
+def _close_to_reference(got, series, p, origins, horizon):
+    for t, path in zip(origins, got):
+        want = _per_origin_ar(series[:t], p, horizon)
+        assert np.max(np.abs(path - want)) <= 1e-12 * np.max(np.abs(want)), (p, t)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 14])
+def test_batched_ar_matches_the_per_origin_fit(p):
+    series = _noisy_series(p)
+    origins = list(range(120, 160, 3))
+    got = _ar_paths(series, p, origins, 12)
+    assert got.shape == (len(origins), 12)
+    _close_to_reference(got, series, p, origins, 12)
+    # an origin's forecast does not depend on its batch-mates
+    for i in (0, 5, len(origins) - 1):
+        t = origins[i]
+        assert ar_forecast(series[:t], p, 12).tobytes() == got[i].tobytes()
+        assert _ar_paths(series, p, origins[i:], 12)[0].tobytes() == got[i].tobytes()
+
+
+def test_batched_ar_ramp_origin_inside_a_batch_continues_exactly():
+    series = 2.0 + 0.25 * np.arange(120.0)
+    series[80:] += _noisy_series(1, 40)  # the differences stay constant up to origin 80
+    origins = [80, 90, 100]
+    got = _ar_paths(series, 3, origins, 8)
+    assert got[0].tobytes() == _per_origin_ar(series[:80], 3, 8).tobytes()
+    assert np.array_equal(got[0], series[79] + 0.25 * np.arange(1, 9))
+    _close_to_reference(got[1:], series, 3, origins[1:], 8)
+
+
+def test_batched_ar_ridge_falls_back_at_the_flagged_origin_only(caplog):
+    # differences alternate 1, -2 up to origin 60: then lag 1 + lag 2 equals the
+    # intercept column, so AR(2)'s normal equations are singular there
+    d = np.where(np.arange(59) % 2 == 0, 1.0, -2.0)
+    series = np.concatenate([[0.0], np.cumsum(d), 3.0 * _noisy_series(2, 40)])
+    origins = [60, 70, 80, 90]
+    with caplog.at_level("DEBUG", logger="demandnet.evaluation"):
+        got = _ar_paths(series, 2, origins, 10)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == ["AR(2) normal equations ill-conditioned at 1 of 4 origins; "
+                        "ridge fallback"]
+    _close_to_reference(got, series, 2, origins, 10)
+
+
+def test_batched_ar_rejects_an_origin_too_short_for_the_order():
+    with pytest.raises(ValueError, match="at least 16 observations"):
+        _ar_paths(_noisy_series(0), 14, [15, 100], 5)
+
+
+def test_batched_ar_short_path_is_the_long_paths_prefix():
+    series = _noisy_series(4)
+    origins = list(range(100, 180, 7))
+    for p in (1, 7):
+        short, long = _ar_paths(series, p, origins, 40), _ar_paths(series, p, origins, 80)
+        assert short.tobytes() == np.ascontiguousarray(long[:, :40]).tobytes()
 
 
 def test_ar_extends_constant_difference_ramp_exactly():
