@@ -23,19 +23,17 @@ def build_config(args, cell: str) -> PipelineConfig:
         tau=args.tau,
         horizons=tuple(args.horizons),
         kappa=args.kappa,
-        arch=ForecasterArch(cell=cell, hidden=args.hidden, layers=2,
-                            horizon=max(args.horizons), dropout=0.1),
+        arch=ForecasterArch(cell=cell, hidden=args.hidden, layers=2, dropout=0.1),
         forecaster_train=TrainConfig(optimizer="adam", learning_rate=1e-3,
                                      epochs=args.epochs, batch_size=128),
         effects_train=TrainConfig(optimizer="sgd", learning_rate=0.05,
                                   epochs=40, batch_size=256),
         effects_width=16,
-        dropout_candidates=None,
-        optimize_p=False,
+        dropout_candidates=(),
     )
 
 
-def main() -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, default=3, help="number of seeds")
     parser.add_argument("--epochs", type=int, default=12)
@@ -46,7 +44,11 @@ def main() -> int:
     parser.add_argument("--cells", nargs="+", default=["gru", "lstm"],
                         choices=["gru", "lstm"])
     parser.add_argument("--data-seed", type=int, default=0)
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+def main() -> int:
+    args = parse_args()
 
     bundles = dn.synth_generate(dn.SynthConfig(), seed=args.data_seed)
     held = tuple(b.id for b in bundles[-2:])
@@ -56,9 +58,8 @@ def main() -> int:
     for cell in args.cells:
         cfg = build_config(args, cell)
         t0 = time.time()
-        seen = run_split80(bundles, methods, tuple(args.horizons), seeds, cfg)
-        unseen = run_unseen(bundles, held, ("demandnet",), tuple(args.horizons),
-                            seeds, cfg)
+        seen = run_split80(bundles, methods, seeds, cfg)
+        unseen = run_unseen(bundles, held, ("demandnet",), seeds, cfg)
         print(f"\n=== cell={cell} ({time.time() - t0:.0f}s) ===")
         print(seen.format_table())
         print(unseen.format_table())

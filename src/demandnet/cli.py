@@ -166,7 +166,10 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_select_features(cfg: RunConfig) -> int:
     """Screen static features by rank correlation with shock impact."""
     bundles = _load_manifest_bundles(cfg)
-    report = filter_static(bundles, band=cfg.band)
+    try:
+        report = filter_static(bundles, band=cfg.band)
+    except ValueError as exc:  # too few series, or no sidecar statics
+        raise DataError(f"cannot screen static features: {exc}") from exc
     out = os.path.join(cfg.out_dir, "static_screening.csv")
     _atomic_write_text(out, report.to_csv_text())
     _write_effective_config(cfg, "select-features")
@@ -289,16 +292,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     bundles = _load_manifest_bundles(cfg)
     pipeline_cfg = cfg.pipeline()
     if cfg.eval_protocol == "split80":
-        report = run_split80(
-            bundles, cfg.eval_methods, cfg.horizons, cfg.eval_seeds, pipeline_cfg
-        )
+        report = run_split80(bundles, cfg.eval_methods, cfg.eval_seeds, pipeline_cfg)
     elif cfg.eval_protocol == "unseen":
         if not cfg.held_ids:
             raise ConfigError("eval_protocol='unseen' needs held_ids")
-        report = run_unseen(
-            bundles, cfg.held_ids, cfg.eval_methods, cfg.horizons,
-            cfg.eval_seeds, pipeline_cfg,
-        )
+        report = run_unseen(bundles, cfg.held_ids, cfg.eval_methods, cfg.eval_seeds,
+                            pipeline_cfg)
     else:
         raise ConfigError(f"unknown eval_protocol {cfg.eval_protocol!r}")
     _atomic_write_text(os.path.join(cfg.out_dir, "evaluation.csv"), report.to_csv_text())

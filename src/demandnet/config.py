@@ -53,7 +53,6 @@ class RunConfig:
     band: float = 0.3
     include_statics: bool = True
     dropout_candidates: tuple[float, ...] = (0.05, 0.1, 0.2, 0.35, 0.5)
-    optimize_p: bool = True
 
     effects_width: int = 64
     effects_train: TrainConfig = TrainConfig(
@@ -87,13 +86,13 @@ class RunConfig:
             if getattr(self, section).seed != 0:
                 raise ConfigError(f"{section}.seed is not used; set the run seed "
                                   f"with `seed` (--seed) instead")
+        self.pipeline()  # range errors surface at load, not mid-command
 
     def pipeline(self) -> PipelineConfig:
         arch = ForecasterArch(
             cell=self.cell,
             hidden=self.hidden,
             layers=self.layers,
-            horizon=max(self.horizons),
             dropout=self.dropout,
             use_policy_skip=self.use_policy_skip,
         )
@@ -105,7 +104,6 @@ class RunConfig:
             band=self.band,
             include_statics=self.include_statics,
             dropout_candidates=self.dropout_candidates,
-            optimize_p=self.optimize_p,
             arch=arch,
             forecaster_train=self.forecaster_train,
             effects_train=self.effects_train,

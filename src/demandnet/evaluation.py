@@ -15,7 +15,7 @@ denormalized errors are carried alongside.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -475,16 +475,12 @@ def _check_methods(methods):
             )
 
 
-def _run_protocol(protocol: str, train_bundles, eval_bundles, methods, horizons,
+def _run_protocol(protocol: str, train_bundles, eval_bundles, methods,
                   seeds, cfg: PipelineConfig) -> ExperimentReport:
     _check_methods(methods)
     methods = tuple(methods)
-    horizons = tuple(sorted(set(int(h) for h in horizons)))
+    horizons = tuple(sorted(set(cfg.horizons)))
     seeds = tuple(int(s) for s in seeds)
-    if max(horizons) > cfg.model_horizon:
-        raise ValueError(
-            f"horizon {max(horizons)} exceeds configured model horizon {cfg.model_horizon}"
-        )
     acc = {(m, h): _Accumulator() for m in methods for h in horizons}
     param_hashes: dict = {}
 
@@ -505,7 +501,8 @@ def _run_protocol(protocol: str, train_bundles, eval_bundles, methods, horizons,
                         acc[(method, h)].add_series(seed, row)
                 continue
             cell = DEMANDNET_METHODS[method]
-            trained = train_demandnet(train_bundles, cfg, seed=seed, cell=cell)
+            run_cfg = cfg if cell is None else replace(cfg, arch=replace(cfg.arch, cell=cell))
+            trained = train_demandnet(train_bundles, run_cfg, seed=seed)
             hash_pre = trained.forecaster.param_hash()
             for bundle in eval_bundles:
                 rows = demandnet_eval_bundle(
@@ -531,13 +528,15 @@ def _run_protocol(protocol: str, train_bundles, eval_bundles, methods, horizons,
     )
 
 
-def run_split80(bundles, methods, horizons, seeds, cfg: PipelineConfig) -> ExperimentReport:
-    """Train on every series' first 80%, evaluate on each one's last 10%."""
-    return _run_protocol("split80", bundles, bundles, methods, horizons, seeds, cfg)
+def run_split80(bundles, methods, seeds, cfg: PipelineConfig) -> ExperimentReport:
+    """Train on every series' first 80%, evaluate on each one's last 10%,
+    at every horizon in ``cfg.horizons``."""
+    return _run_protocol("split80", bundles, bundles, methods, seeds, cfg)
 
 
-def run_unseen(bundles, held_ids, methods, horizons, seeds, cfg: PipelineConfig) -> ExperimentReport:
-    """Hold entire series out of training and forecast them cold.
+def run_unseen(bundles, held_ids, methods, seeds, cfg: PipelineConfig) -> ExperimentReport:
+    """Hold entire series out of training and forecast them cold at every
+    horizon in ``cfg.horizons``.
 
     DemandNet methods train on the remaining series only; the held-out
     series are normalized by their own training-fraction stats at forecast
@@ -547,4 +546,4 @@ def run_unseen(bundles, held_ids, methods, horizons, seeds, cfg: PipelineConfig)
     from .data import holdout_series
 
     train_bundles, held_bundles = holdout_series(bundles, held_ids)
-    return _run_protocol("unseen", train_bundles, held_bundles, methods, horizons, seeds, cfg)
+    return _run_protocol("unseen", train_bundles, held_bundles, methods, seeds, cfg)

@@ -113,7 +113,7 @@ class ForecasterModel:
         widths = (arch.hidden,) * arch.layers
         self.stack = RecurrentStack(arch.cell, len(self.channel_names), widths, rng, name="fore")
         self.readout = DenseLayer(arch.hidden, arch.horizon, "identity", rng, name="fore.out")
-        self.mc_p: float | None = None
+        self.mc_p = arch.dropout  # optimize_dropout may replace it
         self.norm_stats: dict[str, NormStats] = {}
         self.mean_policy: np.ndarray | None = None
         self.training: ForecasterTraining | None = None
@@ -286,12 +286,7 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
 
 
 def _resolve_p(model: ForecasterModel, p) -> float:
-    if p is not None:
-        value = float(p)
-    elif model.mc_p is not None:
-        value = model.mc_p
-    else:
-        value = model.arch.dropout
+    value = model.mc_p if p is None else float(p)
     if not 0.0 <= value < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {value}")
     return value
@@ -543,7 +538,9 @@ def load_forecaster(path) -> ForecasterModel:
         effect_model=em, lam=meta["lam"],
     )
     load_params_from_arrays(model.parameters(), arrays)
-    model.mc_p = meta.get("mc_p")
+    # files saved from a bare train_forecaster model store null: arch.dropout
+    if meta.get("mc_p") is not None:
+        model.mc_p = meta["mc_p"]
     model.norm_stats = {
         sid: _stats_from_meta(m) for sid, m in meta["norm_stats"].items()
     }

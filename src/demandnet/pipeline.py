@@ -28,7 +28,9 @@ class PipelineConfig:
 
     ``effects_train`` and ``forecaster_train`` default to the published
     operating point; experiment configs routinely override the optimizer,
-    rate, and epoch budget to fit a desk-scale compute budget.
+    rate, and epoch budget to fit a desk-scale compute budget.  The model
+    horizon is ``max(horizons)``, whatever ``arch.horizon`` was given, and
+    ``dropout_candidates=()`` keeps ``arch.dropout`` for MC forecasting.
     """
 
     tau: int = 32
@@ -38,7 +40,6 @@ class PipelineConfig:
     band: float = 0.3
     include_statics: bool = True
     dropout_candidates: tuple[float, ...] = (0.05, 0.1, 0.2, 0.35, 0.5)
-    optimize_p: bool = True
     arch: ForecasterArch = ForecasterArch()
     forecaster_train: TrainConfig = TrainConfig(optimizer="adam")
     effects_train: TrainConfig = TrainConfig()
@@ -52,15 +53,17 @@ class PipelineConfig:
             raise ValueError("tau must be >= 1")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.dropout_candidates is not None:
-            object.__setattr__(
-                self, "dropout_candidates",
-                tuple(float(c) for c in self.dropout_candidates),
-            )
+        if not 0.0 < self.band < 1.0:
+            raise ValueError(f"band must be inside (0, 1), got {self.band}")
+        candidates = tuple(float(c) for c in self.dropout_candidates)
+        if any(not 0.0 <= c < 1.0 for c in candidates):
+            raise ValueError(f"dropout_candidates must be in [0, 1), got {candidates}")
+        object.__setattr__(self, "dropout_candidates", candidates)
+        object.__setattr__(self, "arch", replace(self.arch, horizon=max(self.horizons)))
 
     @property
     def model_horizon(self) -> int:
-        return max(self.horizons)
+        return self.arch.horizon
 
 
 def screen_statics(bundles: list[SeriesBundle], cfg: PipelineConfig) -> CorrelationReport | None:
@@ -141,30 +144,20 @@ class TrainedPipeline:
 
 
 def train_demandnet(bundles: list[SeriesBundle], cfg: PipelineConfig,
-                    seed: int = 0, cell: str | None = None,
-                    use_policy_skip: bool | None = None) -> TrainedPipeline:
+                    seed: int = 0) -> TrainedPipeline:
     """Full training sequence: effects model, forecaster, dropout selection."""
     effects, report = train_effects_for(bundles, cfg, seed=seed)
-    arch = replace(
-        cfg.arch,
-        cell=cell if cell is not None else cfg.arch.cell,
-        horizon=cfg.model_horizon,
-        use_policy_skip=(
-            use_policy_skip if use_policy_skip is not None else cfg.arch.use_policy_skip
-        ),
-    )
-    train_cfg = replace(cfg.forecaster_train, seed=seed)
     model = train_forecaster(
-        bundles, train_cfg, arch, effects if arch.use_policy_skip else None,
+        bundles, replace(cfg.forecaster_train, seed=seed), cfg.arch,
+        effects if cfg.arch.use_policy_skip else None,
         tau=cfg.tau, fractions=cfg.fractions,
     )
     # keep the effects model reachable for curve artifacts even when the
     # skip connection is ablated
     if model.effect_model is None:
         model.effect_model = effects
-    model.mc_p = arch.dropout
-    if cfg.optimize_p and cfg.dropout_candidates:
-        pooled = pooled_validation_windows(bundles, cfg, arch.horizon)
+    if cfg.dropout_candidates:
+        pooled = pooled_validation_windows(bundles, cfg, cfg.arch.horizon)
         if pooled is None:
             log.warning("no validation windows for dropout selection; keeping p=%.3f",
                         model.mc_p)

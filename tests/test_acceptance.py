@@ -261,7 +261,7 @@ def test_policy_skip_cuts_error_under_policy_shocks(capsys):
         effects_train=TrainConfig(optimizer="sgd", learning_rate=0.05,
                                   epochs=40, batch_size=256),
         effects_width=16, include_statics=False,
-        dropout_candidates=None, optimize_p=False,
+        dropout_candidates=(),
     )
 
     ratios = []
@@ -273,7 +273,10 @@ def test_policy_skip_cuts_error_under_policy_shocks(capsys):
         ]
         scores = {}
         for skip in (True, False):
-            trained = train_demandnet(bundles, cfg, seed=seed, use_policy_skip=skip)
+            trained = train_demandnet(
+                bundles, dataclasses.replace(
+                    cfg, arch=dataclasses.replace(cfg.arch, use_policy_skip=skip)),
+                seed=seed)
             scores[skip] = np.mean([
                 demandnet_eval_bundle(trained.forecaster, b, cfg, (40,),
                                       kappa=32, seed=seed)[40]["mae"]
@@ -299,11 +302,11 @@ def test_forecaster_beats_tuned_classical_baselines(capsys):
                                      epochs=12, batch_size=128),
         effects_train=TrainConfig(optimizer="sgd", learning_rate=0.05,
                                   epochs=40, batch_size=256),
-        effects_width=16, dropout_candidates=None, optimize_p=False,
+        effects_width=16, dropout_candidates=(),
     )
     bundles = dn.synth_generate(dn.SynthConfig(), seed=0)
     report = run_split80(bundles, methods=("demandnet", "exp_smoothing", "ar"),
-                         horizons=(40, 80), seeds=SEEDS, cfg=cfg)
+                         seeds=SEEDS, cfg=cfg)
 
     details = []
     ok = True
@@ -339,16 +342,14 @@ def test_unseen_series_score_worse_than_seen_ones(capsys):
                                      epochs=15, batch_size=128),
         effects_train=TrainConfig(optimizer="sgd", learning_rate=0.05,
                                   epochs=40, batch_size=256),
-        effects_width=16, dropout_candidates=None, optimize_p=False,
+        effects_width=16, dropout_candidates=(),
     )
     bundles = dn.synth_generate(dn.SynthConfig(impact_spread=0.6), seed=0)
     ordered = sorted(bundles, key=lambda b: b.static_profile["tourism_share"])
     held = (ordered[-2].id, ordered[-1].id)
 
-    seen = run_split80(bundles, methods=("demandnet",), horizons=(40, 60, 80),
-                       seeds=SEEDS, cfg=cfg)
-    unseen = run_unseen(bundles, held, methods=("demandnet",),
-                        horizons=(40, 60, 80), seeds=SEEDS, cfg=cfg)
+    seen = run_split80(bundles, methods=("demandnet",), seeds=SEEDS, cfg=cfg)
+    unseen = run_unseen(bundles, held, methods=("demandnet",), seeds=SEEDS, cfg=cfg)
 
     gap_seeds = sum(
         1 for s in SEEDS
@@ -397,7 +398,7 @@ REPRO_RUN = {
     "horizons": [6],
     "kappa": 4,
     "include_statics": False,
-    "optimize_p": False,
+    "dropout_candidates": [],
     "effects_width": 8,
     "effects_train": {"optimizer": "sgd", "learning_rate": 0.05,
                       "epochs": 5, "batch_size": 128},

@@ -16,7 +16,7 @@ SMALL_RUN = {
     "horizons": [6],
     "kappa": 4,
     "include_statics": False,
-    "optimize_p": False,
+    "dropout_candidates": [],
     "effects_width": 8,
     "effects_train": {"optimizer": "sgd", "learning_rate": 0.05,
                       "epochs": 5, "batch_size": 128},
@@ -280,6 +280,61 @@ def test_forecast_with_an_unknown_arch_field_is_one_error_line(pipeline_dir, tmp
     assert _run("forecast", "--config", _write_config(tmp_path), "--out", str(out)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "skip_scale" in err[0]
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    """A dataset manifest alone, for commands that must fail before training."""
+    root = tmp_path_factory.mktemp("synth")
+    out = os.path.join(root, "artifacts")
+    assert _run("synth", "--config", _write_config(root), "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("override, key", [
+    ("kappa=0", "kappa"),
+    ("tau=0", "tau"),
+    ("horizons=[0]", "horizons"),
+    ("dropout=1.5", "dropout"),
+    ("cell=rnn", "cell"),
+    ("dropout_candidates=[2.0]", "dropout_candidates"),
+    ("band=1.5", "band"),
+])
+def test_out_of_range_settings_fail_at_load(synth_dir, tmp_path, capsys, command,
+                                            override, key):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(synth_dir, "manifest.json"), out)
+    capsys.readouterr()
+    code = _run(command, "--config", _write_config(tmp_path), "--out", str(out),
+                "--set", override)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"{key} must be" in err[0]
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_select_features_without_statics_is_one_error_line(synth_dir, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert _run("ingest", "--out", out,
+                "--set", f"data_csv={os.path.join(synth_dir, 'data.csv')}") == 0
+    capsys.readouterr()
+    assert _run("select-features", "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "no static features" in err[0]
+    assert not os.path.exists(os.path.join(out, "static_screening.csv"))
+
+
+def test_select_features_on_two_series_is_one_error_line(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert _run("synth", "--config", _write_config(tmp_path), "--out", out,
+                "--set", "synth.series_count=2") == 0
+    capsys.readouterr()
+    assert _run("select-features", "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "at least 3 series" in err[0]
+    assert not os.path.exists(os.path.join(out, "static_screening.csv"))
 
 
 def test_every_subcommand_has_help_text():

@@ -39,7 +39,7 @@ def test_override_parses_json_values():
     assert parse_override("tau=16") == ("tau", 16)
     assert parse_override("dropout=0.25") == ("dropout", 0.25)
     assert parse_override("horizons=[4,8]") == ("horizons", [4, 8])
-    assert parse_override("optimize_p=true") == ("optimize_p", True)
+    assert parse_override("include_statics=true") == ("include_statics", True)
 
 
 def test_override_falls_back_to_bare_string():
@@ -77,7 +77,8 @@ def test_unknown_nested_key_reports_dotted_path():
 
 @pytest.mark.parametrize("key, value", [("adjust_mode", "additive"),
                                         ("reference_policy", 0.0),
-                                        ("forecaster_train.mlp_layers", 2)])
+                                        ("forecaster_train.mlp_layers", 2),
+                                        ("optimize_p", False)])
 def test_retired_keys_are_unknown(key, value):
     with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
         load_run_config(overrides=(f"{key}={json.dumps(value)}",))
@@ -127,7 +128,7 @@ def test_type_mismatch_is_a_config_error():
     with pytest.raises(ConfigError, match="tau"):
         dataclass_from_dict(RunConfig, {"tau": "wide"})
     with pytest.raises(ConfigError, match="true/false"):
-        dataclass_from_dict(RunConfig, {"optimize_p": "yes"})
+        dataclass_from_dict(RunConfig, {"include_statics": "yes"})
 
 
 def test_field_validation_is_wrapped_as_config_error():
@@ -188,7 +189,6 @@ SHARED_VALUES = {
     "band": 0.4,
     "include_statics": False,
     "dropout_candidates": (0.1, 0.2),
-    "optimize_p": False,
     "effects_width": 8,
     "effects_train": TrainConfig(epochs=4),
     "forecaster_train": TrainConfig(epochs=3),
@@ -211,3 +211,4 @@ def test_pipeline_mapping_threads_shared_fields():
         pipe = RunConfig(**{name: value}).pipeline()
         assert getattr(pipe.arch if name in arch_names else pipe, name) == value, name
     assert RunConfig(horizons=(4, 12)).pipeline().arch.horizon == 12
+    assert PipelineConfig(horizons=(6,)).arch.horizon == 6

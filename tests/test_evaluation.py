@@ -350,8 +350,7 @@ def _tiny_cfg():
                                   epochs=5, batch_size=128),
         effects_width=8,
         include_statics=False,
-        dropout_candidates=None,
-        optimize_p=False,
+        dropout_candidates=(),
     )
 
 
@@ -367,7 +366,7 @@ def _protocol_bundles():
 @pytest.fixture(scope="module")
 def split_report():
     return run_split80(_protocol_bundles(), methods=("demandnet", "exp_smoothing", "ar"),
-                       horizons=(4,), seeds=(0, 1), cfg=_tiny_cfg())
+                       seeds=(0, 1), cfg=_tiny_cfg())
 
 
 def test_split_report_aggregates_each_method(split_report):
@@ -426,13 +425,23 @@ def test_report_table_lists_methods(split_report):
 
 def test_protocol_reruns_are_byte_identical(split_report):
     again = run_split80(_protocol_bundles(), methods=("demandnet", "exp_smoothing", "ar"),
-                        horizons=(4,), seeds=(0, 1), cfg=_tiny_cfg())
+                        seeds=(0, 1), cfg=_tiny_cfg())
     assert again.to_csv_text() == split_report.to_csv_text()
+
+
+def test_cell_methods_train_the_named_cell():
+    # the configured cell is gru, so demandnet-gru trains the same model
+    report = run_split80(_protocol_bundles(), methods=("demandnet", "demandnet-gru",
+                                                       "demandnet-lstm"),
+                         seeds=(0,), cfg=_tiny_cfg())
+    hashes = {m: report.param_hashes[(m, 0)][0] for m in report.methods}
+    assert hashes["demandnet-gru"] == hashes["demandnet"] != hashes["demandnet-lstm"]
+    assert report.horizons == (4,)
 
 
 def test_unseen_protocol_scores_only_held_series():
     report = run_unseen(_protocol_bundles(), held_ids=("S2",), methods=("ar",),
-                        horizons=(4,), seeds=(0,), cfg=_tiny_cfg())
+                        seeds=(0,), cfg=_tiny_cfg())
     assert report.protocol == "unseen"
     assert np.isfinite(report.metric("ar", 4).mae)
 
@@ -440,4 +449,4 @@ def test_unseen_protocol_scores_only_held_series():
 def test_unseen_protocol_rejects_unknown_held_id():
     with pytest.raises(ValueError, match="S9"):
         run_unseen(_protocol_bundles(), held_ids=("S9",), methods=("ar",),
-                   horizons=(4,), seeds=(0,), cfg=_tiny_cfg())
+                   seeds=(0,), cfg=_tiny_cfg())

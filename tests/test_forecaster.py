@@ -344,6 +344,27 @@ def test_checkpoint_round_trip_is_bit_identical(skip_model, tmp_path):
     assert np.array_equal(before.samples, after.samples)
 
 
+def test_checkpoint_without_a_dropout_rate_forecasts_at_the_arch_rate(tmp_path):
+    # a bare train_forecaster model used to store "mc_p": null
+    model = _train()
+    assert model.mc_p == model.arch.dropout == 0.1
+    path = tmp_path / "fore.npz"
+    save_forecaster(model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    meta["mc_p"] = None
+    save_checkpoint(path, "forecaster", meta, arrays)
+    loaded = load_forecaster(path)
+    assert loaded.mc_p == loaded.arch.dropout
+
+    model.mc_p = 0.1
+    bundle = _training_bundles()[1]
+    stored = forecast_unseen(loaded, bundle, kappa=8, seed=4)
+    explicit = forecast_unseen(model, bundle, kappa=8, seed=4)
+    assert stored.p == explicit.p == 0.1
+    assert stored.sd.max() > 0.0
+    assert np.array_equal(stored.samples, explicit.samples)
+
+
 def test_checkpoint_with_a_policy_polynomial_is_refused(skip_model, tmp_path):
     path = tmp_path / "fore.npz"
     save_forecaster(skip_model, path)

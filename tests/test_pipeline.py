@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import demandnet as dn
@@ -18,8 +20,7 @@ def _cfg(**kwargs):
                                   epochs=5, batch_size=128),
         effects_width=8,
         include_statics=False,
-        dropout_candidates=None,
-        optimize_p=False,
+        dropout_candidates=(),
     )
     base.update(kwargs)
     return PipelineConfig(**base)
@@ -39,18 +40,22 @@ def test_training_wires_all_stages_together(bundles):
 
 
 def test_ablated_skip_still_exposes_the_effects_model(bundles):
-    trained = train_demandnet(bundles, _cfg(), seed=0, use_policy_skip=False)
+    cfg = _cfg()
+    cfg = replace(cfg, arch=replace(cfg.arch, use_policy_skip=False))
+    trained = train_demandnet(bundles, cfg, seed=0)
     assert not trained.forecaster.arch.use_policy_skip
     assert trained.forecaster.effect_model is trained.effects
 
 
 def test_cell_override_replaces_the_configured_cell(bundles):
-    trained = train_demandnet(bundles, _cfg(), seed=0, cell="lstm")
+    cfg = _cfg()
+    cfg = replace(cfg, arch=replace(cfg.arch, cell="lstm"))
+    trained = train_demandnet(bundles, cfg, seed=0)
     assert trained.forecaster.arch.cell == "lstm"
 
 
 def test_dropout_selection_stores_the_winning_candidate(bundles):
-    cfg = _cfg(optimize_p=True, dropout_candidates=(0.05, 0.3))
+    cfg = _cfg(dropout_candidates=(0.05, 0.3))
     trained = train_demandnet(bundles, cfg, seed=0)
     assert trained.p_used in (0.05, 0.3)
     assert trained.forecaster.mc_p == trained.p_used

@@ -1,5 +1,7 @@
-"""The command-line scripts under ``scripts/`` import and parse their options."""
+"""The command-line scripts under ``scripts/`` import, parse their options,
+and build configs the library accepts."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,3 +18,15 @@ def test_script_help_exits_cleanly(script):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_benchmark_script_builds_its_default_config(cell):
+    spec = importlib.util.spec_from_file_location(
+        "run_benchmarks", os.path.join(ROOT, "scripts", "run_benchmarks.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = script.build_config(script.parse_args([]), cell)
+    assert cfg.arch.cell == cell
+    assert cfg.horizons == (40, 80) and cfg.arch.horizon == 80
+    assert cfg.dropout_candidates == ()
