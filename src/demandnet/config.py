@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass
 
 from .data import SynthConfig
+from .evaluation import check_methods_and_seeds
 from .forecaster import ForecasterArch
 from .nn.optim import TrainConfig
 from .pipeline import PipelineConfig
@@ -87,6 +88,7 @@ class RunConfig:
                 raise ConfigError(f"{section}.seed is not used; set the run seed "
                                   f"with `seed` (--seed) instead")
         self.pipeline()  # range errors surface at load, not mid-command
+        check_methods_and_seeds(self.eval_methods, self.eval_seeds, prefix="eval_")
 
     def pipeline(self) -> PipelineConfig:
         arch = ForecasterArch(

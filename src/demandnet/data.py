@@ -129,6 +129,13 @@ class DatasetSplit:
             raise ValueError("split ranges must be contiguous")
 
 
+def check_fractions(fractions) -> None:
+    """``split_time``'s rule: three positive fractions that sum to 1."""
+    if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-8:
+        raise ValueError(f"fractions must be three positive numbers summing to 1, "
+                         f"got {fractions}")
+
+
 def split_time(bundle: SeriesBundle | int, fractions=(0.8, 0.1, 0.1)) -> DatasetSplit:
     """Chronological train/validation/test split by cumulative fractions.
 
@@ -138,10 +145,7 @@ def split_time(bundle: SeriesBundle | int, fractions=(0.8, 0.1, 0.1)) -> Dataset
     length = bundle if isinstance(bundle, int) else bundle.length
     if length <= 0:
         raise ValueError(f"cannot split a length-{length} series")
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be three positive numbers, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-8:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    check_fractions(fractions)
     first = int(math.floor(round(fractions[0] * length, 9)))
     second = int(math.floor(round((fractions[0] + fractions[1]) * length, 9)))
     if first < 1 or second <= first or length <= second:

@@ -1,15 +1,15 @@
 """Metrics, classical baselines, and the two experiment protocols.
 
-Metric aggregation is fixed throughout: compute the metric per forecast
-origin, then take arithmetic means across origins, then series, then seeds.
-Baselines are tuned per (series, horizon) on the validation range with
-labels clipped at the validation boundary so nothing leaks from the test
-range.  Each baseline is computed for all origins in one pass: exponential
-smoothing runs one recursion with its whole (alpha, beta) grid as a vector
-and reads every origin's state from it; AR(p) takes each origin's normal
-equations from running sums over one design matrix and solves and iterates
-them stacked.  All modeling happens in per-series normalized units;
-denormalized errors are carried alongside.
+One path leads from a series and a method to its metric rows.  Each baseline
+is tuned once per series for every horizon, on the validation range with
+labels clipped at its end so nothing leaks from the test range, then
+forecasts each test origin once per distinct tuned choice.  Exponential
+smoothing runs one recursion with its whole (alpha, beta) grid as a vector;
+AR(p) takes each origin's normal equations from running sums over one design
+matrix.  Every method is scored by ``_series_rows``: the metric per forecast
+origin, then means across origins, then series, then seeds (``_cell``).  All
+modeling happens in per-series normalized units; denormalized errors are
+carried alongside.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SeriesBundle, prepare_bundle
+from .data import SeriesBundle, holdout_series, make_windows, prepare_bundle
 from .forecaster import ForecasterModel, mc_forecast_batch, mc_moments
 from .pipeline import PipelineConfig, train_demandnet
 
@@ -41,22 +41,21 @@ CLASSICAL_METHODS = ("exp_smoothing", "ar", "seasonal_naive")
 # Point metrics
 
 
-def mae(pred, truth) -> float:
-    """Mean absolute error."""
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
+def _error(pred, truth) -> np.ndarray:
+    pred, truth = np.asarray(pred, dtype=float), np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    return float(np.mean(np.abs(pred - truth)))
+    return pred - truth
+
+
+def mae(pred, truth) -> float:
+    """Mean absolute error."""
+    return float(np.mean(np.abs(_error(pred, truth))))
 
 
 def rmse(pred, truth) -> float:
     """Root mean squared error."""
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+    return float(np.sqrt(np.mean(_error(pred, truth) ** 2)))
 
 
 def pred_sd(samples) -> float:
@@ -125,13 +124,6 @@ def _es_grid(x: np.ndarray, alphas, betas=None):
     return forecast
 
 
-def _exp_smoothing_path(x: np.ndarray, alpha: float, beta: float | None = None):
-    """The one-column ``_es_grid`` for (alpha, beta); returns ``fn(ts, horizon)``,
-    the ``(len(ts), horizon)`` forecasts from the states after ``x[:t]``."""
-    grid = _es_grid(x, [alpha], None if beta is None else [beta])
-    return lambda ts, horizon: grid(ts, horizon)[0]
-
-
 def exp_smoothing_forecast(history, alpha: float, horizon: int,
                            beta: float | None = None) -> np.ndarray:
     """Exponential smoothing forecast, simple (flat) or Holt (trended), from
@@ -141,7 +133,7 @@ def exp_smoothing_forecast(history, alpha: float, horizon: int,
         raise ValueError("history must be a non-empty 1-D array")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _exp_smoothing_path(x, alpha, beta)([x.size], horizon)[0]
+    return _es_grid(x, [alpha], None if beta is None else [beta])([x.size], horizon)[0, 0]
 
 
 def seasonal_naive_forecast(history, horizon: int, period: int = 7) -> np.ndarray:
@@ -220,59 +212,72 @@ def ar_forecast(history, p: int, horizon: int, ridge: float = 1e-6) -> np.ndarra
     return _ar_paths(x, p, [x.size], horizon, ridge)[0]
 
 
-def _clipped_scores(series: np.ndarray, origins, horizon: int, limit: int, paths_fn):
-    """Mean MAE over origins t of the forecasts ``paths_fn(ts, horizon)[..., i, :]``
-    from ``series[:t]``, labels clipped at ``limit``; one score per leading index.
+def _clipped_scores(series: np.ndarray, origins, horizons, limit: int, paths_fn) -> dict:
+    """Mean MAE over origins t of the forecasts ``paths_fn(ts, steps)[..., i, :]``
+    from ``series[:t]``, labels clipped at ``limit``: ``{h: one score per leading
+    index}`` for every h in ``horizons``.
 
-    A clipped origin scores its path's prefix, which every baseline's shorter
+    The paths are computed once, at the longest clipped label run
+    ``min(max(horizons), limit - min(ts))`` steps, and each horizon and
+    clipped origin scores their prefix, which every baseline's shorter
     forecast equals.  ``np.add.reduce(v) / n`` has ``np.mean``'s bits.
     """
     ts = [t for t in origins if limit - t >= 1]
     if not ts:
         raise ValueError("no scorable validation origins")
-    paths = paths_fn(ts, horizon)
-    per_origin = np.empty((*paths.shape[:-2], len(ts)))
-    for i, t in enumerate(ts):
-        h = min(horizon, limit - t)
-        per_origin[..., i] = np.add.reduce(np.abs(paths[..., i, :h] - series[t : t + h]),
-                                           axis=-1) / h
-    return np.add.reduce(per_origin, axis=-1) / len(ts)
+    paths = paths_fn(ts, min(max(horizons), limit - min(ts)))
+    scores = {}
+    for horizon in horizons:
+        per_origin = np.empty((*paths.shape[:-2], len(ts)))
+        for i, t in enumerate(ts):
+            h = min(horizon, limit - t)
+            per_origin[..., i] = np.add.reduce(np.abs(paths[..., i, :h] - series[t : t + h]),
+                                               axis=-1) / h
+        scores[horizon] = np.add.reduce(per_origin, axis=-1) / len(ts)
+    return scores
 
 
-def tune_exp_smoothing(series, origins, horizon: int, limit: int,
-                       alphas=EXP_SMOOTHING_ALPHAS, betas=EXP_SMOOTHING_BETAS):
-    """Grid-search (alpha, beta-or-None) by validation MAE; first best wins.
-    One ``_es_grid`` recursion scores every alpha, one more every (alpha, beta)."""
+def _first_best(candidates, scores):
+    """The first candidate with the lowest score; a NaN score never wins."""
+    best, best_score = None, np.inf
+    for candidate, score in zip(candidates, scores):
+        if score < best_score:
+            best, best_score = candidate, score
+    return best
+
+
+def tune_exp_smoothing(series, origins, horizons, limit: int,
+                       alphas=EXP_SMOOTHING_ALPHAS, betas=EXP_SMOOTHING_BETAS) -> dict:
+    """Grid-search (alpha, beta-or-None) by validation MAE, ``{h: choice}`` for
+    every h in ``horizons``; first best wins.  One ``_es_grid`` recursion
+    scores every alpha at every horizon, one more every (alpha, beta)."""
     series = np.asarray(series, dtype=float)
     simple, holt = (
-        _clipped_scores(series, origins, horizon, limit, _es_grid(series[:limit], alphas, b))
+        _clipped_scores(series, origins, horizons, limit, _es_grid(series[:limit], alphas, b))
         for b in (None, betas)
     )
-    best, best_score = None, np.inf
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate((None, *betas)):
-            score = simple[i] if beta is None else holt[i * len(betas) + j - 1]
-            if score < best_score:
-                best, best_score = (alpha, beta), score
-    return best
+    candidates = [(alpha, beta) for alpha in alphas for beta in (None, *betas)]
+    # alpha-major rows: the simple score, then one per beta
+    return {h: _first_best(candidates, np.column_stack(
+                [simple[h], holt[h].reshape(len(alphas), len(betas))]).ravel())
+            for h in horizons}
 
 
-def tune_ar(series, origins, horizon: int, limit: int, orders=AR_ORDERS) -> int:
-    """Pick the AR order with the best clipped validation MAE, one
-    ``_ar_paths`` call per order."""
+def tune_ar(series, origins, horizons, limit: int, orders=AR_ORDERS) -> dict:
+    """Pick the AR order with the best clipped validation MAE, ``{h: order}``
+    for every h in ``horizons``; one ``_ar_paths`` call per order."""
     series = np.asarray(series, dtype=float)
-    best, best_score = None, np.inf
+    scored = {}
     for p in orders:
         try:
-            score = _clipped_scores(series, origins, horizon, limit,
-                                    lambda ts, h, p=p: _ar_paths(series, p, ts, h))
+            scored[p] = _clipped_scores(series, origins, horizons, limit,
+                                        lambda ts, m, p=p: _ar_paths(series, p, ts, m))
         except ValueError:
             continue
-        if score < best_score:
-            best, best_score = p, score
-    if best is None:
+    choices = {h: _first_best(scored, [s[h] for s in scored.values()]) for h in horizons}
+    if None in choices.values():
         raise ValueError("no AR order could be scored on the validation range")
-    return best
+    return choices
 
 
 # ----------------------------------------------------------------------------
@@ -347,53 +352,31 @@ class ExperimentReport:
 
 
 # ----------------------------------------------------------------------------
-# Per-series evaluation internals
+# Per-series evaluation
+
+_ROW_KEYS = ("mae", "rmse", "sd", "mae_denorm", "rmse_denorm")
 
 
-def _per_origin_rows(horizons, origins, length):
-    return {h: [i for i, t in enumerate(origins) if t + h <= length] for h in horizons}
+def _series_rows(origins, paths, sds, target, scale: float, horizons) -> dict:
+    """``{h: metric row}`` of one series for every horizon some origin can score.
 
-
-class _Accumulator:
-    """per-origin -> mean over origins -> mean over series -> mean over seeds."""
-
-    def __init__(self):
-        self.by_seed: dict = {}
-
-    def add_series(self, seed, values: dict):
-        self.by_seed.setdefault(seed, []).append(values)
-
-    def finalize(self, method, horizon) -> MetricSet:
-        per_seed = {k: [] for k in ("mae", "rmse", "sd", "mae_denorm", "rmse_denorm")}
-        seed_mae = {}
-        for seed, series_rows in sorted(self.by_seed.items()):
-            for key in per_seed:
-                per_seed[key].append(float(np.mean([row[key] for row in series_rows])))
-            seed_mae[seed] = per_seed["mae"][-1]
-        return MetricSet(
-            method=method,
-            horizon=horizon,
-            mae=float(np.mean(per_seed["mae"])),
-            rmse=float(np.mean(per_seed["rmse"])),
-            sd=float(np.mean(per_seed["sd"])),
-            mae_denorm=float(np.mean(per_seed["mae_denorm"])),
-            rmse_denorm=float(np.mean(per_seed["rmse_denorm"])),
-            per_seed_mae=seed_mae,
-        )
-
-
-def _series_metrics(mean_paths, sd_paths, truths, scale) -> dict:
-    """Aggregate per-origin metrics for one (series, horizon) block."""
-    maes = [mae(m, t) for m, t in zip(mean_paths, truths)]
-    rmses = [rmse(m, t) for m, t in zip(mean_paths, truths)]
-    sds = [float(np.mean(s)) for s in sd_paths] if sd_paths is not None else [float("nan")]
-    return {
-        "mae": float(np.mean(maes)),
-        "rmse": float(np.mean(rmses)),
-        "sd": float(np.mean(sds)),
-        "mae_denorm": float(np.mean(maes)) * scale,
-        "rmse_denorm": float(np.mean(rmses)) * scale,
-    }
+    The forecast from ``origins[i]`` is ``paths[h][i]`` and its predictive SD
+    ``sds[i]`` (``None`` for point baselines); horizon h scores their first h
+    steps at every origin with h labels left in ``target``.  Origins ascend,
+    so those are a prefix.  Each metric is a mean over origins.
+    """
+    rows = {}
+    for h in horizons:
+        n = int(np.count_nonzero(origins + h <= target.size))
+        if not n:
+            continue
+        pairs = [(paths[h][i, :h], target[t : t + h]) for i, t in enumerate(origins[:n])]
+        maes = [mae(pred, truth) for pred, truth in pairs]
+        rmses = [rmse(pred, truth) for pred, truth in pairs]
+        sd = [float("nan")] if sds is None else [float(np.mean(s)) for s in sds[:n, :h]]
+        m, r = float(np.mean(maes)), float(np.mean(rmses))
+        rows[h] = dict(zip(_ROW_KEYS, (m, r, float(np.mean(sd)), m * scale, r * scale)))
+    return rows
 
 
 def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
@@ -403,129 +386,114 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
 
     Returns {horizon: per-series metric row}.  Stats come from the model
     when it trained on this series, otherwise they are fitted afresh on the
-    bundle's own training fraction (the unseen-series convention).
+    bundle's own training fraction (the unseen-series convention).  Policy
+    paths past the series end repeat its last policy.
     """
     split, stats, nb = model.prepare(bundle, cfg.fractions)
-    panel = nb.channel_matrix()
     H = model.arch.horizon
-    h_min = min(horizons)
-    first = max(split.test.start, model.tau)
-    origins = list(range(first, bundle.length - h_min + 1))
-    if not origins:
-        raise ValueError(f"series {bundle.id}: no valid test origins for h={h_min}")
-    windows = np.stack([panel[t - model.tau : t] for t in origins])
-    raw_policy = bundle.policy
-    policies = np.stack([
-        np.pad(raw_policy[t : t + H], (0, max(0, t + H - bundle.length)), mode="edge")
-        for t in origins
-    ])
-    samples = mc_forecast_batch(model, windows, policies, kappa=kappa, seed=seed)
+    windows = make_windows(nb, model.tau, min(horizons), span=split.test)
+    if not len(windows):
+        raise ValueError(f"series {bundle.id}: no valid test origins for h={min(horizons)}")
+    origins = windows.origins
+    policies = np.pad(bundle.policy, (0, H), "edge")[origins[:, None] + np.arange(H)]
+    samples = mc_forecast_batch(model, windows.past, policies, kappa=kappa, seed=seed)
     means, sds = mc_moments(samples)
-    rows = {}
-    valid = _per_origin_rows(horizons, origins, bundle.length)
-    for h in horizons:
-        idx = valid[h]
-        if not idx:
-            continue
-        mean_paths = [means[i, :h] for i in idx]
-        sd_paths = [sds[i, :h] for i in idx]
-        truths = [nb.target[origins[i] : origins[i] + h] for i in idx]
-        rows[h] = _series_metrics(mean_paths, sd_paths, truths, float(stats.scale[0]))
-    return rows
+    return _series_rows(origins, dict.fromkeys(horizons, means), sds, nb.target,
+                        float(stats.scale[0]), horizons)
 
 
 def classical_eval_bundle(bundle: SeriesBundle, cfg: PipelineConfig,
                           horizons, method: str) -> dict:
-    """Tune on the validation range, forecast every valid test origin."""
+    """Tune on the validation range once for every horizon, then forecast
+    every test origin with ``t + min(horizons) <= T`` once per distinct tuned
+    choice, ``max(horizons)`` steps ahead."""
     split, stats, nb = prepare_bundle(bundle, cfg.fractions)
-    series = nb.target
-    scale = float(stats.scale[0])
-    val_origins = range(split.validation.start, split.validation.stop)
-    limit = split.validation.stop
-    rows = {}
-    for h in horizons:
-        if method == "exp_smoothing":
-            fn = _exp_smoothing_path(series, *tune_exp_smoothing(series, val_origins, h, limit))
-        elif method == "ar":
-            p = tune_ar(series, val_origins, h, limit)
-            fn = lambda ts, m, p=p: _ar_paths(series, p, ts, m)
-        elif method == "seasonal_naive":
-            fn = lambda ts, m: np.stack([seasonal_naive_forecast(series[:t], m) for t in ts])
-        else:
-            raise ValueError(f"unknown classical method {method!r}")
-        origins = [t for t in range(split.test.start, bundle.length - h + 1)]
-        if not origins:
-            continue
-        mean_paths = fn(origins, h)
-        truths = [series[t : t + h] for t in origins]
-        rows[h] = _series_metrics(mean_paths, None, truths, scale)
-    return rows
+    series, limit = nb.target, split.validation.stop
+    val_origins = range(split.validation.start, limit)
+    origins = np.arange(split.test.start, bundle.length - min(horizons) + 1)
+    steps = max(horizons)
+    if method == "exp_smoothing":
+        choices = tune_exp_smoothing(series, val_origins, horizons, limit)
+        forecast = lambda c: _es_grid(series, c[:1], None if c[1] is None else c[1:])(
+            origins, steps)[0]
+    elif method == "ar":
+        choices = tune_ar(series, val_origins, horizons, limit)
+        forecast = lambda p: _ar_paths(series, p, origins, steps)
+    elif method == "seasonal_naive":
+        choices = dict.fromkeys(horizons)
+        forecast = lambda _: np.stack([seasonal_naive_forecast(series[:t], steps)
+                                       for t in origins])
+    else:
+        raise ValueError(f"unknown classical method {method!r}")
+    if not origins.size:
+        return {}
+    paths = {c: forecast(c) for c in set(choices.values())}
+    return _series_rows(origins, {h: paths[c] for h, c in choices.items()}, None, series,
+                        float(stats.scale[0]), horizons)
 
 
 # ----------------------------------------------------------------------------
 # Protocols
 
 
-def _check_methods(methods):
-    for m in methods:
-        if m not in DEMANDNET_METHODS and m not in CLASSICAL_METHODS:
-            raise ValueError(
-                f"unknown method {m!r}; known: "
-                f"{sorted(DEMANDNET_METHODS) + list(CLASSICAL_METHODS)}"
-            )
+def check_methods_and_seeds(methods, seeds, prefix: str = "") -> None:
+    """Reject an unknown method, and a method or seed named twice: each
+    (method, seed) pair is one run.  ``prefix`` names the config keys."""
+    known = [*DEMANDNET_METHODS, *CLASSICAL_METHODS]
+    unknown = [m for m in methods if m not in known]
+    if unknown:
+        raise ValueError(f"{prefix}methods must be among {known}, got {unknown[0]!r}")
+    for name, values in (("methods", methods), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{prefix}{name} must be distinct, got {list(values)}")
+
+
+def _cell(method: str, horizon: int, by_seed: dict) -> MetricSet:
+    """One (method, horizon) cell from ``{seed: its series' rows}``: each row
+    is a mean over origins; average the series, then the sorted seeds."""
+    per_seed = {seed: [float(np.mean([row[key] for row in rows])) for key in _ROW_KEYS]
+                for seed, rows in sorted(by_seed.items())}
+    means = [float(np.mean(column)) for column in zip(*per_seed.values())]
+    return MetricSet(method, horizon, *means,
+                     per_seed_mae={seed: values[0] for seed, values in per_seed.items()})
 
 
 def _run_protocol(protocol: str, train_bundles, eval_bundles, methods,
                   seeds, cfg: PipelineConfig) -> ExperimentReport:
-    _check_methods(methods)
     methods = tuple(methods)
     horizons = tuple(sorted(set(cfg.horizons)))
     seeds = tuple(int(s) for s in seeds)
-    acc = {(m, h): _Accumulator() for m in methods for h in horizons}
+    check_methods_and_seeds(methods, seeds)
+    rows: dict = {}  # (method, seed) -> one {h: row} per evaluated series
     param_hashes: dict = {}
-
-    classical_cache: dict = {}
     for method in methods:
-        if method in CLASSICAL_METHODS:
-            for bundle in eval_bundles:
-                classical_cache[(method, bundle.id)] = classical_eval_bundle(
-                    bundle, cfg, horizons, method
-                )
-
+        if method in CLASSICAL_METHODS:  # the baselines draw nothing from the seed
+            series_rows = [classical_eval_bundle(b, cfg, horizons, method) for b in eval_bundles]
+            rows.update(((method, seed), series_rows) for seed in seeds)
     for seed in seeds:
         for method in methods:
             if method in CLASSICAL_METHODS:
-                for bundle in eval_bundles:
-                    rows = classical_cache[(method, bundle.id)]
-                    for h, row in rows.items():
-                        acc[(method, h)].add_series(seed, row)
                 continue
             cell = DEMANDNET_METHODS[method]
             run_cfg = cfg if cell is None else replace(cfg, arch=replace(cfg.arch, cell=cell))
             trained = train_demandnet(train_bundles, run_cfg, seed=seed)
             hash_pre = trained.forecaster.param_hash()
-            for bundle in eval_bundles:
-                rows = demandnet_eval_bundle(
-                    trained.forecaster, bundle, cfg, horizons,
-                    kappa=cfg.kappa, seed=seed,
-                )
-                for h, row in rows.items():
-                    acc[(method, h)].add_series(seed, row)
+            rows[(method, seed)] = [
+                demandnet_eval_bundle(trained.forecaster, bundle, cfg, horizons,
+                                      kappa=cfg.kappa, seed=seed)
+                for bundle in eval_bundles
+            ]
             param_hashes[(method, seed)] = (hash_pre, trained.forecaster.param_hash())
 
-    cells = {
-        (m, h): acc[(m, h)].finalize(m, h)
-        for m in methods for h in horizons
-        if acc[(m, h)].by_seed
-    }
-    return ExperimentReport(
-        protocol=protocol,
-        methods=methods,
-        horizons=horizons,
-        seeds=seeds,
-        cells=cells,
-        param_hashes=param_hashes,
-    )
+    cells = {}
+    for method in methods:
+        for h in horizons:
+            by_seed = {seed: [r[h] for r in rows[(method, seed)] if h in r] for seed in seeds}
+            by_seed = {seed: scored for seed, scored in by_seed.items() if scored}
+            if by_seed:
+                cells[(method, h)] = _cell(method, h, by_seed)
+    return ExperimentReport(protocol=protocol, methods=methods, horizons=horizons, seeds=seeds,
+                            cells=cells, param_hashes=param_hashes)
 
 
 def run_split80(bundles, methods, seeds, cfg: PipelineConfig) -> ExperimentReport:
@@ -543,7 +511,5 @@ def run_unseen(bundles, held_ids, methods, seeds, cfg: PipelineConfig) -> Experi
     time.  Classical baselines only ever see the evaluated series' own
     history, so their cells match the split80 protocol by construction.
     """
-    from .data import holdout_series
-
     train_bundles, held_bundles = holdout_series(bundles, held_ids)
     return _run_protocol("unseen", train_bundles, held_bundles, methods, seeds, cfg)

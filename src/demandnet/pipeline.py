@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SeriesBundle, Windows, make_windows, prepare_bundle
+from .data import SeriesBundle, Windows, check_fractions, make_windows, prepare_bundle
 from .effects import EffectModel, train_effect_model
 from .features import CorrelationReport, filter_static
 from .forecaster import ForecasterArch, ForecasterModel, optimize_dropout, train_forecaster
@@ -51,6 +51,7 @@ class PipelineConfig:
             raise ValueError(f"horizons must be positive, got {self.horizons}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
+        check_fractions(self.fractions)
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if not 0.0 < self.band < 1.0:

@@ -15,6 +15,7 @@ import pytest
 
 import demandnet as dn
 import demandnet.nn
+from demandnet import evaluation
 from demandnet.pipeline import PipelineConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,6 +41,24 @@ def test_tracer_installs_and_counts_on_a_tiny_panel():
     # validation origins 96..104 of each 120-day series: 9 windows apiece
     assert layers["data.make_windows.windows"] == 3 * 9
     assert layers["data.normalize_bundle.calls_per_series"] == 1.0
+
+
+def test_classical_baselines_tune_once_per_series_on_the_traced_path():
+    bundles = dn.synth_generate(dn.SynthConfig(series_count=3, length=120), seed=0)
+    cfg = PipelineConfig(tau=8, horizons=(2, 4))
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        rows = {method: [evaluation.classical_eval_bundle(b, cfg, cfg.horizons, method)
+                         for b in bundles]
+                for method in workloads.CLASSICAL}
+    finally:
+        undo()
+    assert all(sorted(r) == [2, 4] for series_rows in rows.values() for r in series_rows)
+    layers = tracing.per_layer(tracer)
+    # one tuning per (series, method), whatever the number of horizons
+    assert layers["evaluation.tune_exp_smoothing.calls"] == len(bundles)
+    assert layers["evaluation.tune_ar.calls"] == len(bundles)
 
 
 def test_public_surface_is_the_modules():

@@ -300,6 +300,10 @@ def synth_dir(tmp_path_factory):
     ("cell=rnn", "cell"),
     ("dropout_candidates=[2.0]", "dropout_candidates"),
     ("band=1.5", "band"),
+    ("fractions=[0.5,0.5,0.5]", "fractions"),
+    ('eval_methods=["foo"]', "eval_methods"),
+    ('eval_methods=["ar","ar"]', "eval_methods"),
+    ("eval_seeds=[0,0]", "eval_seeds"),
 ])
 def test_out_of_range_settings_fail_at_load(synth_dir, tmp_path, capsys, command,
                                             override, key):

@@ -80,9 +80,9 @@ def compute() -> dict:
     split, _, nb = prepare_bundle(bundles[0], cfg.fractions)
     series, history = nb.target, nb.target[: split.test.start]
     origins = range(split.validation.start, split.validation.stop)
-    alpha, beta = tune_exp_smoothing(series, origins, HORIZON, split.validation.stop)
+    alpha, beta = tune_exp_smoothing(series, origins, (HORIZON,), split.validation.stop)[HORIZON]
     out["es::forecast"] = exp_smoothing_forecast(history, alpha, HORIZON, beta=beta)
-    order = tune_ar(series, origins, HORIZON, split.validation.stop)
+    order = tune_ar(series, origins, (HORIZON,), split.validation.stop)[HORIZON]
     out["ar::forecast"] = ar_forecast(history, order, HORIZON)
     return out
 

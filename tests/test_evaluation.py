@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandnet.config import PipelineConfig
+from demandnet.data import prepare_bundle
 from demandnet.evaluation import (
     EXP_SMOOTHING_ALPHAS,
     EXP_SMOOTHING_BETAS,
     _ar_paths,
     _es_grid,
-    _exp_smoothing_path,
     ar_forecast,
+    classical_eval_bundle,
     exp_smoothing_forecast,
     mae,
     pred_sd,
@@ -110,7 +111,7 @@ def test_one_pass_es_equals_per_origin_es_bitwise(values, alpha, beta, horizon, 
     x = np.asarray(values)
     first = 1 if beta is None else 2
     origins = data.draw(st.lists(st.integers(first, x.size), min_size=1, max_size=20))
-    paths = _exp_smoothing_path(x, alpha, beta)(origins, horizon)
+    paths = _es_grid(x, [alpha], None if beta is None else [beta])(origins, horizon)[0]
     for t, got in zip(origins, paths):
         want = _per_origin_es(x[:t], alpha, horizon, beta).tobytes()
         assert got.tobytes() == want
@@ -151,7 +152,8 @@ def test_es_grid_columns_equal_the_scalar_recursion_and_tune_alike(values, alpha
             score = float(np.mean(scores))
             if score < best_score:
                 best, best_score = (alpha, beta), score
-    assert tune_exp_smoothing(x, origins, horizon, limit, alphas=alphas, betas=betas) == best
+    got = tune_exp_smoothing(x, origins, (horizon,), limit, alphas=alphas, betas=betas)
+    assert got == {horizon: best}
 
 
 def test_es_origins_too_short_for_the_recursion_raise():
@@ -159,11 +161,11 @@ def test_es_origins_too_short_for_the_recursion_raise():
     with pytest.raises(ValueError, match="non-empty"):
         exp_smoothing_forecast([], 0.5, 3)
     with pytest.raises(ValueError, match="non-empty"):
-        tune_exp_smoothing(series, [0], 3, limit=10)
+        tune_exp_smoothing(series, [0], (3,), limit=10)
     with pytest.raises(ValueError, match="at least two observations"):
         exp_smoothing_forecast([1.0], 0.5, 3, beta=0.1)
     with pytest.raises(ValueError, match="at least two observations"):
-        tune_exp_smoothing(series, [1], 3, limit=10)
+        tune_exp_smoothing(series, [1], (3,), limit=10)
 
 
 def _per_origin_ar(history, p, horizon, ridge=1e-6):
@@ -287,13 +289,15 @@ def test_seasonal_naive_needs_one_cycle():
 def test_tuning_ties_resolve_to_first_grid_entry():
     # constant series: every (alpha, beta) scores identically
     series = np.full(40, 5.0)
-    assert tune_exp_smoothing(series, [30, 34], 4, limit=40) == (0.1, None)
+    assert tune_exp_smoothing(series, [30, 34], (4, 8), limit=40) == {4: (0.1, None),
+                                                                    8: (0.1, None)}
 
 
 def test_tuning_matches_the_per_origin_grid_search():
     rng = np.random.default_rng(3)
     series = np.cumsum(rng.normal(size=120)) + np.sin(np.arange(120) / 4.0)
     origins, limit = range(90, 108), 108
+    want = {}
     for horizon in (4, 12):
         best, best_score = None, np.inf
         for alpha in EXP_SMOOTHING_ALPHAS:
@@ -306,7 +310,9 @@ def test_tuning_matches_the_per_origin_grid_search():
                 score = float(np.mean(scores))
                 if score < best_score:  # first best wins
                     best, best_score = (alpha, beta), score
-        assert tune_exp_smoothing(series, origins, horizon, limit) == best
+        want[horizon] = best
+    # one call tunes both horizons, from paths computed once at the longer one
+    assert tune_exp_smoothing(series, origins, (4, 12), limit) == want
 
 
 def test_tuning_never_reads_beyond_the_limit():
@@ -317,21 +323,58 @@ def test_tuning_never_reads_beyond_the_limit():
     a[40:] = 1e6
     b[40:] = -1e6
     origins = [32, 36]
-    assert tune_exp_smoothing(a, origins, 8, limit=40) == \
-        tune_exp_smoothing(b, origins, 8, limit=40)
-    assert tune_ar(a, origins, 8, limit=40) == tune_ar(b, origins, 8, limit=40)
+    assert tune_exp_smoothing(a, origins, (4, 8), limit=40) == \
+        tune_exp_smoothing(b, origins, (4, 8), limit=40)
+    assert tune_ar(a, origins, (4, 8), limit=40) == tune_ar(b, origins, (4, 8), limit=40)
 
 
 def test_tuned_ar_order_comes_from_grid():
     rng = np.random.default_rng(1)
     series = np.sin(2 * np.pi * np.arange(80) / 7) + 0.05 * rng.normal(size=80)
-    order = tune_ar(series, [60, 64], 8, limit=72)
-    assert order in (1, 2, 3, 7, 14)
+    orders = tune_ar(series, [60, 64], (4, 8), limit=72)
+    assert set(orders) == {4, 8} and set(orders.values()) <= {1, 2, 3, 7, 14}
 
 
 def test_tuning_requires_scorable_origins():
     with pytest.raises(ValueError, match="origins"):
-        tune_exp_smoothing(np.arange(20.0), [19], 4, limit=19)
+        tune_exp_smoothing(np.arange(20.0), [19], (4,), limit=19)
+    with pytest.raises(ValueError, match="no AR order"):
+        tune_ar(np.arange(20.0), [19], (4,), limit=19)
+
+
+def _per_horizon_row(bundle, cfg, method, h):
+    """Reference row: tune at horizon h alone, forecast each test origin on its own."""
+    split, stats, nb = prepare_bundle(bundle, cfg.fractions)
+    series, limit = nb.target, split.validation.stop
+    val_origins = range(split.validation.start, limit)
+    origins = range(split.test.start, bundle.length - h + 1)
+    if method == "exp_smoothing":
+        alpha, beta = tune_exp_smoothing(series, val_origins, (h,), limit)[h]
+        preds = [exp_smoothing_forecast(series[:t], alpha, h, beta=beta) for t in origins]
+    elif method == "ar":
+        order = tune_ar(series, val_origins, (h,), limit)[h]
+        preds = [ar_forecast(series[:t], order, h) for t in origins]
+    else:
+        preds = [seasonal_naive_forecast(series[:t], h) for t in origins]
+    m = float(np.mean([mae(pred, series[t : t + h]) for pred, t in zip(preds, origins)]))
+    r = float(np.mean([rmse(pred, series[t : t + h]) for pred, t in zip(preds, origins)]))
+    scale = float(stats.scale[0])
+    return np.array([m, r, m * scale, r * scale])
+
+
+@pytest.mark.parametrize("method", ["exp_smoothing", "ar", "seasonal_naive"])
+def test_classical_rows_equal_a_per_horizon_reference_bitwise(method):
+    cfg = PipelineConfig(horizons=(4, 12))
+    # on these series the tuned choice differs between the two horizons:
+    # ES simple (6) and Holt (5, 10), AR order (6, 10)
+    for seed in (5, 6, 10):
+        bundle = build_bundle(length=200, target=10.0 + _noisy_series(seed, 200))
+        rows = classical_eval_bundle(bundle, cfg, (4, 12), method)
+        assert sorted(rows) == [4, 12]
+        for h, row in rows.items():
+            got = np.array([row["mae"], row["rmse"], row["mae_denorm"], row["rmse_denorm"]])
+            assert got.tobytes() == _per_horizon_row(bundle, cfg, method, h).tobytes(), h
+            assert np.isnan(row["sd"])
 
 
 # ----------------------------------------------------------------------------
@@ -444,6 +487,17 @@ def test_unseen_protocol_scores_only_held_series():
                         seeds=(0,), cfg=_tiny_cfg())
     assert report.protocol == "unseen"
     assert np.isfinite(report.metric("ar", 4).mae)
+
+
+@pytest.mark.parametrize("methods, seeds, match", [
+    (("ar", "ar"), (0,), "methods must be distinct"),
+    (("ar",), (1, 1), "seeds must be distinct"),
+    (("prophet",), (0,), "methods must be among"),
+])
+def test_protocol_rejects_unknown_or_repeated_methods_and_seeds(methods, seeds, match):
+    # each (method, seed) pair is one run: a repeat would be scored twice
+    with pytest.raises(ValueError, match=match):
+        run_split80(_protocol_bundles(), methods=methods, seeds=seeds, cfg=_tiny_cfg())
 
 
 def test_unseen_protocol_rejects_unknown_held_id():
