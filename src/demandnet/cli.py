@@ -1,9 +1,13 @@
 """Command-line entry points.
 
-Each command reads its inputs, writes its artifacts atomically under the
-output directory, and drops an effective-config JSON next to them so any
-artifact can be replayed exactly.  Commands that need upstream artifacts
-fail with an error naming the command that produces them.
+Each command reads its inputs and writes its artifacts under the output
+directory; ``main`` then drops an effective-config JSON next to them, so any
+artifact can be replayed exactly.  Every file goes through
+:func:`~demandnet.nn.checkpoint.atomic_write`, so a command that fails leaves
+the previous artifacts as they were and writes no config snapshot.  A command
+that needs an upstream artifact fails with an error naming the command that
+produces it, and a bad input of any kind (config, dataset, manifest,
+checkpoint) is one ``error:`` line with exit code 2.
 
     demandnet synth           generate a synthetic dataset + manifest
     demandnet ingest          validate an external CSV + manifest
@@ -22,7 +26,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .data import (
     write_sidecar_csv,
 )
 from .effects import fit_polynomial, marginal_effect
-from .evaluation import run_split80, run_unseen
+from .evaluation import UnscorableHorizonError, run_split80, run_unseen
 from .features import filter_static
 from .forecaster import (
     forecast_unseen,
@@ -47,11 +50,13 @@ from .forecaster import (
     save_forecaster,
     variance_vs_truth,
 )
-from .nn.checkpoint import CheckpointError
+from .nn.checkpoint import CheckpointError, atomic_write
 from .nn.optim import DivergenceError
 from .pipeline import train_demandnet, train_effects_for
 
 log = logging.getLogger("demandnet")
+
+_MANIFEST_PRODUCERS = "`demandnet synth` or `demandnet ingest`"
 
 
 class PrerequisiteError(RuntimeError):
@@ -59,197 +64,151 @@ class PrerequisiteError(RuntimeError):
 
 
 # ----------------------------------------------------------------------------
-# Atomic artifact helpers
+# Artifacts
 
 
-def _atomic_write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(cfg: RunConfig, name: str, content: str | dict):
+    """Atomically write one artifact under the output directory; a dict is
+    written as sorted, indented JSON."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    with atomic_write(os.path.join(cfg.out_dir, name)) as fh:
+        fh.write(content)
 
 
-def _write_json(path: str, payload: dict):
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_effective_config(cfg: RunConfig, command: str):
+    _write(cfg, f"config.{command}.json", {"command": command, "config": cfg.to_dict()})
 
 
-def _write_effective_config(cfg: RunConfig, command: str) -> str:
-    path = os.path.join(cfg.out_dir, f"config.{command}.json")
-    _write_json(path, {"command": command, "config": cfg.to_dict()})
+def _write_manifest(cfg: RunConfig, command: str, bundles, data_csv: str,
+                    sidecar_csv: str | None):
+    # absolute, so later commands find the files from any working directory
+    _write(cfg, "manifest.json", {
+        "kind": "demandnet-manifest",
+        "command": command,
+        "data_csv": os.path.abspath(data_csv),
+        "sidecar_csv": None if sidecar_csv is None else os.path.abspath(sidecar_csv),
+        "series_ids": [b.id for b in bundles],
+        "seed": cfg.seed,
+    })
+
+
+def _require(path: str, what: str, producer: str) -> str:
+    """``path`` if it exists; otherwise name the command that writes it."""
+    if not os.path.exists(path):
+        raise PrerequisiteError(f"no {what} at {path}; run {producer} first")
     return path
 
 
-def _manifest_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, "manifest.json")
-
-
 def _load_manifest_bundles(cfg: RunConfig) -> list[SeriesBundle]:
-    path = _manifest_path(cfg)
-    if not os.path.exists(path):
-        raise PrerequisiteError(
-            f"no dataset manifest at {path}; run `demandnet synth` or "
-            f"`demandnet ingest` first"
-        )
-    with open(path) as fh:
-        manifest = json.load(fh)
+    path = _require(os.path.join(cfg.out_dir, "manifest.json"), "dataset manifest",
+                    _MANIFEST_PRODUCERS)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # unreadable, not text, or not JSON
+        manifest = None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("data_csv"), str)
+            and isinstance(manifest.get("sidecar_csv"), (str, type(None)))):
+        raise DataError(f"{path}: not a readable dataset manifest; rerun "
+                        f"{_MANIFEST_PRODUCERS}")
     return load_dataset(manifest["data_csv"], sidecar=manifest.get("sidecar_csv"))
-
-
-def _forecaster_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, "forecaster.npz")
-
-
-def _effects_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, "effects.npz")
 
 
 # ----------------------------------------------------------------------------
 # Commands
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig):
     """Generate a seeded synthetic panel and its dataset manifest."""
     bundles = synth_generate(cfg.synth, cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    # absolute, so later commands find the files from any working directory
-    data_path = os.path.abspath(os.path.join(cfg.out_dir, "data.csv"))
-    sidecar_path = os.path.abspath(os.path.join(cfg.out_dir, "sidecar.csv"))
-    tmpdir = tempfile.mkdtemp(dir=cfg.out_dir)
-    try:
-        write_dataset_csv(bundles, os.path.join(tmpdir, "d.csv"))
-        write_sidecar_csv(bundles, os.path.join(tmpdir, "s.csv"))
-        os.replace(os.path.join(tmpdir, "d.csv"), data_path)
-        os.replace(os.path.join(tmpdir, "s.csv"), sidecar_path)
-    finally:
-        for leftover in os.listdir(tmpdir):
-            os.unlink(os.path.join(tmpdir, leftover))
-        os.rmdir(tmpdir)
-    _write_json(_manifest_path(cfg), {
-        "kind": "demandnet-manifest",
-        "command": "synth",
-        "data_csv": data_path,
-        "sidecar_csv": sidecar_path,
-        "series_ids": [b.id for b in bundles],
-        "seed": cfg.seed,
-    })
-    _write_effective_config(cfg, "synth")
-    log.info("wrote %s (%d series)", data_path, len(bundles))
-    return 0
+    data_path = os.path.join(cfg.out_dir, "data.csv")
+    sidecar_path = os.path.join(cfg.out_dir, "sidecar.csv")
+    write_dataset_csv(bundles, data_path)
+    write_sidecar_csv(bundles, sidecar_path)
+    _write_manifest(cfg, "synth", bundles, data_path, sidecar_path)
+    log.info("wrote %s (%d series)", os.path.abspath(data_path), len(bundles))
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
+def cmd_ingest(cfg: RunConfig):
     """Validate an external panel CSV (and sidecar) and write its manifest."""
     if cfg.data_csv is None:
         raise ConfigError("ingest needs data_csv (e.g. --set data_csv=path/to.csv)")
     bundles = load_dataset(cfg.data_csv, sidecar=cfg.sidecar_csv)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(_manifest_path(cfg), {
-        "kind": "demandnet-manifest",
-        "command": "ingest",
-        "data_csv": os.path.abspath(cfg.data_csv),
-        "sidecar_csv": None if cfg.sidecar_csv is None else os.path.abspath(cfg.sidecar_csv),
-        "series_ids": [b.id for b in bundles],
-        "seed": cfg.seed,
-    })
-    _write_effective_config(cfg, "ingest")
+    _write_manifest(cfg, "ingest", bundles, cfg.data_csv, cfg.sidecar_csv)
     log.info("validated %s (%d series)", cfg.data_csv, len(bundles))
-    return 0
 
 
-def cmd_select_features(cfg: RunConfig) -> int:
+def cmd_select_features(cfg: RunConfig):
     """Screen static features by rank correlation with shock impact."""
     bundles = _load_manifest_bundles(cfg)
     try:
         report = filter_static(bundles, band=cfg.band)
     except ValueError as exc:  # too few series, or no sidecar statics
         raise DataError(f"cannot screen static features: {exc}") from exc
-    out = os.path.join(cfg.out_dir, "static_screening.csv")
-    _atomic_write_text(out, report.to_csv_text())
-    _write_effective_config(cfg, "select-features")
+    _write(cfg, "static_screening.csv", report.to_csv_text())
     log.info("retained %s", list(report.retained_names()))
-    return 0
 
 
-def cmd_train_effects(cfg: RunConfig) -> int:
+def cmd_train_effects(cfg: RunConfig):
     """Train the effects model and save its checkpoint."""
     bundles = _load_manifest_bundles(cfg)
     model, report = train_effects_for(bundles, cfg.pipeline(), seed=cfg.seed)
-    save_effects(model, _effects_path(cfg), cfg.seed)
-    _write_json(os.path.join(cfg.out_dir, "effects_training.json"), {
+    save_effects(model, os.path.join(cfg.out_dir, "effects.npz"), cfg.seed)
+    _write(cfg, "effects_training.json", {
         "final_loss": model.train_history[-1] if model.train_history else None,
         "epochs": len(model.train_history),
         "history": list(model.train_history),
         "retained_statics": list(report.retained_names()) if report else [],
     })
-    _write_effective_config(cfg, "train-effects")
-    return 0
 
 
-def cmd_effects_curve(cfg: RunConfig) -> int:
+def cmd_effects_curve(cfg: RunConfig):
     """Export a marginal effect curve and its polynomial fit."""
-    path = _effects_path(cfg)
-    if not os.path.exists(path):
-        raise PrerequisiteError(
-            f"no effects checkpoint at {path}; run `demandnet train-effects` first"
-        )
-    model = load_effects(path)
+    model = load_effects(_require(os.path.join(cfg.out_dir, "effects.npz"),
+                                  "effects checkpoint", "`demandnet train-effects`"))
     if cfg.curve_feature == model.policy_feature:
         grid = np.linspace(0.0, 1.0, cfg.curve_points)
     else:
-        col = model.feature_index(cfg.curve_feature)
+        try:
+            col = model.feature_index(cfg.curve_feature)
+        except ValueError as exc:
+            raise ConfigError(f"curve_feature: {exc}") from exc
         center = model.feature_means[col]
         halfwidth = max(abs(center), 1.0) * 2.0
         grid = np.linspace(center - halfwidth, center + halfwidth, cfg.curve_points)
     curve = marginal_effect(model, cfg.curve_feature, grid)
     fit = fit_polynomial(curve, degree=cfg.curve_degree)
-    _atomic_write_text(
-        os.path.join(cfg.out_dir, f"curve_{cfg.curve_feature}.csv"), curve.to_csv_text()
-    )
-    _write_json(os.path.join(cfg.out_dir, f"curve_{cfg.curve_feature}_poly.json"), {
+    _write(cfg, f"curve_{cfg.curve_feature}.csv", curve.to_csv_text())
+    _write(cfg, f"curve_{cfg.curve_feature}_poly.json", {
         "feature": cfg.curve_feature,
         "degree": fit.degree,
         "coefficients_ascending": [float(c) for c in fit.coefficients],
         "max_residual": fit.max_residual,
     })
-    _write_effective_config(cfg, "effects-curve")
-    return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig):
     """Train the full pipeline and save the forecaster checkpoint."""
     bundles = _load_manifest_bundles(cfg)
     trained = train_demandnet(bundles, cfg.pipeline(), seed=cfg.seed)
-    save_forecaster(trained.forecaster, _forecaster_path(cfg))
-    save_effects(trained.effects, _effects_path(cfg), cfg.seed)
-    summary = {
+    path = save_forecaster(trained.forecaster, os.path.join(cfg.out_dir, "forecaster.npz"))
+    save_effects(trained.effects, os.path.join(cfg.out_dir, "effects.npz"), cfg.seed)
+    _write(cfg, "forecaster_training.json", {
         "p_used": trained.p_used,
         "best_epoch": trained.forecaster.training.best_epoch,
         "train_history": list(trained.forecaster.training.train_history),
         "val_history": list(trained.forecaster.training.val_history),
         "param_hash": trained.forecaster.param_hash(),
         "retained_statics": list(trained.screening.retained_names()) if trained.screening else [],
-    }
-    _write_json(os.path.join(cfg.out_dir, "forecaster_training.json"), summary)
-    _write_effective_config(cfg, "train")
-    log.info("saved %s (p=%.3f)", _forecaster_path(cfg), trained.p_used)
-    return 0
+    })
+    log.info("saved %s (p=%.3f)", path, trained.p_used)
 
 
-def cmd_forecast(cfg: RunConfig) -> int:
+def cmd_forecast(cfg: RunConfig):
     """Forecast one series with Monte-Carlo dropout uncertainty."""
-    path = _forecaster_path(cfg)
-    if not os.path.exists(path):
-        raise PrerequisiteError(
-            f"no forecaster checkpoint at {path}; run `demandnet train` first"
-        )
-    model = load_forecaster(path)
+    model = load_forecaster(_require(os.path.join(cfg.out_dir, "forecaster.npz"),
+                                     "forecaster checkpoint", "`demandnet train`"))
     bundles = _load_manifest_bundles(cfg)
     sid = cfg.forecast_series or bundles[0].id
     matches = [b for b in bundles if b.id == sid]
@@ -282,33 +241,29 @@ def cmd_forecast(cfg: RunConfig) -> int:
             f"{bundle.id},{step + 1},{repr(mean)},{repr(sd)},{var_txt},"
             f"{repr(float(dist.p))},{dist.kappa}"
         )
-    _atomic_write_text(os.path.join(cfg.out_dir, "forecast.csv"), "\n".join(lines) + "\n")
-    _write_effective_config(cfg, "forecast")
-    return 0
+    _write(cfg, "forecast.csv", "\n".join(lines) + "\n")
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig):
     """Retrain per seed from the current config and score the protocol."""
     bundles = _load_manifest_bundles(cfg)
     pipeline_cfg = cfg.pipeline()
-    if cfg.eval_protocol == "split80":
-        report = run_split80(bundles, cfg.eval_methods, cfg.eval_seeds, pipeline_cfg)
-    elif cfg.eval_protocol == "unseen":
-        if not cfg.held_ids:
-            raise ConfigError("eval_protocol='unseen' needs held_ids")
-        report = run_unseen(bundles, cfg.held_ids, cfg.eval_methods, cfg.eval_seeds,
-                            pipeline_cfg)
-    else:
-        raise ConfigError(f"unknown eval_protocol {cfg.eval_protocol!r}")
-    _atomic_write_text(os.path.join(cfg.out_dir, "evaluation.csv"), report.to_csv_text())
-    _atomic_write_text(
-        os.path.join(cfg.out_dir, "evaluation_denormalized.csv"),
-        report.to_csv_text(denormalized=True),
-    )
-    _atomic_write_text(os.path.join(cfg.out_dir, "evaluation_table.txt"), report.format_table())
-    _write_effective_config(cfg, "evaluate")
+    try:
+        if cfg.eval_protocol == "split80":
+            report = run_split80(bundles, cfg.eval_methods, cfg.eval_seeds, pipeline_cfg)
+        elif cfg.eval_protocol == "unseen":
+            if not cfg.held_ids:
+                raise ConfigError("eval_protocol='unseen' needs held_ids")
+            report = run_unseen(bundles, cfg.held_ids, cfg.eval_methods, cfg.eval_seeds,
+                                pipeline_cfg)
+        else:
+            raise ConfigError(f"unknown eval_protocol {cfg.eval_protocol!r}")
+    except UnscorableHorizonError as exc:
+        raise ConfigError(f"horizons={list(cfg.horizons)}: {exc}") from exc
+    _write(cfg, "evaluation.csv", report.to_csv_text())
+    _write(cfg, "evaluation_denormalized.csv", report.to_csv_text(denormalized=True))
+    _write(cfg, "evaluation_table.txt", report.format_table())
     print(report.format_table(), end="")
-    return 0
 
 
 COMMANDS = {
@@ -350,7 +305,9 @@ def main(argv=None) -> int:
             config_path=args.config, overrides=args.set,
             seed=args.seed, out_dir=args.out,
         )
-        return COMMANDS[args.command](cfg)
+        COMMANDS[args.command](cfg)
+        _write_effective_config(cfg, args.command)
+        return 0
     except (ConfigError, DataError, CheckpointError, PrerequisiteError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,6 +89,11 @@ class RunConfig:
                                   f"with `seed` (--seed) instead")
         self.pipeline()  # range errors surface at load, not mid-command
         check_methods_and_seeds(self.eval_methods, self.eval_seeds, prefix="eval_")
+        if self.curve_points < 2:
+            raise ConfigError(f"curve_points must be >= 2, got {self.curve_points}")
+        if not 1 <= self.curve_degree < self.curve_points:
+            raise ConfigError(f"curve_degree must be in [1, curve_points), "
+                              f"got {self.curve_degree}")
 
     def pipeline(self) -> PipelineConfig:
         arch = ForecasterArch(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .nn.checkpoint import atomic_write
 from .rngs import stream
 
 
@@ -440,11 +441,11 @@ def load_dataset(path, sidecar=None) -> list[SeriesBundle]:
 
 
 def write_dataset_csv(bundles: list[SeriesBundle], path):
-    """Write bundles back to the long-format CSV (deterministic bytes)."""
+    """Write bundles back to the long-format CSV (deterministic bytes, atomically)."""
     if not bundles:
         raise ValueError("no bundles to write")
     names = bundles[0].covariate_names
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id", "date", "target", *names])
         for bundle in bundles:
@@ -460,11 +461,11 @@ def write_dataset_csv(bundles: list[SeriesBundle], path):
 
 
 def write_sidecar_csv(bundles: list[SeriesBundle], path):
-    """Write the static profiles of all bundles as a sidecar CSV."""
+    """Write the static profiles of all bundles as a sidecar CSV, atomically."""
     if not bundles:
         raise ValueError("no bundles to write")
     names = list(bundles[0].static_profile)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id", *names])
         for bundle in bundles:

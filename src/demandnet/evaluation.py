@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SeriesBundle, holdout_series, make_windows, prepare_bundle
+from .data import SeriesBundle, holdout_series, make_windows, prepare_bundle, split_time
 from .forecaster import ForecasterModel, mc_forecast_batch, mc_moments
 from .pipeline import PipelineConfig, train_demandnet
 
@@ -448,6 +448,10 @@ def check_methods_and_seeds(methods, seeds, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{name} must be distinct, got {list(values)}")
 
 
+class UnscorableHorizonError(ValueError):
+    """A horizon longer than every evaluated series' test range."""
+
+
 def _cell(method: str, horizon: int, by_seed: dict) -> MetricSet:
     """One (method, horizon) cell from ``{seed: its series' rows}``: each row
     is a mean over origins; average the series, then the sorted seeds."""
@@ -464,6 +468,12 @@ def _run_protocol(protocol: str, train_bundles, eval_bundles, methods,
     horizons = tuple(sorted(set(cfg.horizons)))
     seeds = tuple(int(s) for s in seeds)
     check_methods_and_seeds(methods, seeds)
+    room = max((b.length - split_time(b, cfg.fractions).test.start for b in eval_bundles),
+               default=0)
+    if horizons[-1] > room:  # fail before any tuning or training
+        too_long = ", ".join(str(h) for h in horizons if h > room)
+        raise UnscorableHorizonError(f"no evaluated series has a test origin for horizon "
+                                     f"{too_long}: the longest test range is {room} steps")
     rows: dict = {}  # (method, seed) -> one {h: row} per evaluated series
     param_hashes: dict = {}
     for method in methods:

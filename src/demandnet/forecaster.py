@@ -476,6 +476,8 @@ def effects_from_meta(meta: dict, arrays: dict, prefix: str = "effects::") -> Ef
         if name.startswith(prefix)
     }
     load_params_from_arrays(em.parameters(), named)
+    if "feature_means" not in named:
+        raise CheckpointError("effects model is missing its feature_means array")
     em.feature_means = np.asarray(named["feature_means"], dtype=float)
     return em
 

@@ -1,12 +1,18 @@
-"""Atomic, bit-exact model checkpoints.
+"""Atomic artifact writes and bit-exact model checkpoints.
+
+Every artifact the package writes (checkpoints, dataset CSVs, reports and
+JSON) goes through :func:`atomic_write`: the bytes go to a temporary file in
+the target directory, and only a block that finishes moves it over the
+target with ``os.replace``, so a crash or an error never leaves a
+half-written file behind and never damages the previous one.
 
 A checkpoint is a single ``.npz`` holding every parameter array in float64
 plus a JSON metadata blob: the format version, the model kind, and whatever
 the caller passes (for the forecaster: architecture, normalization stats and
 the chosen dropout rate).  Neither training config, optimizer state nor RNG
-state is stored, so a checkpoint serves inference, not resumed training.
-Writes go to a temporary file in the target directory followed by
-``os.replace``, so a crash never leaves a half-written checkpoint behind.
+state is stored, so a checkpoint serves inference, not resumed training.  A
+file that cannot be read back as one (missing, truncated, corrupt, or of
+another kind or version) is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +34,25 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, mismatched, or wrong-kind checkpoints."""
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` (creating its directory) and
+    yield it; when the block finishes it replaces ``path``, and on any
+    exception it is deleted and ``path`` is left as it was.  ``mode`` and
+    ``open_kwargs`` are those of :func:`open`."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
     """Atomically write arrays + metadata; returns the path."""
     payload = {"format_version": FORMAT_VERSION, "kind": kind, "meta": meta}
@@ -33,17 +60,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
     named = {_META_KEY: np.frombuffer(meta_json.encode("utf-8"), dtype=np.uint8)}
     for name, arr in arrays.items():
         named[_ARRAY_PREFIX + name] = np.asarray(arr)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **named)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **named)
     return path
 
 
@@ -63,7 +81,10 @@ def load_checkpoint(path, expected_kind: str | None = None):
             }
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # a damaged zip also fails as a bad archive or CRC, a short read, or a
+    # member whose header names another compression method or encryption
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError,
+            NotImplementedError, RuntimeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     if payload.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(

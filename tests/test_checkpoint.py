@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from demandnet.nn.layers import Parameter
 from demandnet.nn.checkpoint import (
     CheckpointError,
+    atomic_write,
     load_checkpoint,
     load_params_from_arrays,
     params_to_arrays,
@@ -47,6 +48,39 @@ def test_corrupt_file_is_a_checkpoint_error(tmp_path):
     path.write_bytes(b"not an npz archive")
     with pytest.raises(CheckpointError):
         load_checkpoint(path, expected_kind="forecaster")
+
+
+@pytest.mark.parametrize("offset", [8, 10], ids=["encryption-flag", "compression-method"])
+def test_a_damaged_member_header_is_a_checkpoint_error(tmp_path, offset):
+    # flip bit 0 of the first central-directory entry's general-purpose flags
+    # (it marks the member encrypted) or of its compression method
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, kind="k", meta={}, arrays={"w": np.ones(3)})
+    raw = bytearray(path.read_bytes())
+    raw[raw.find(b"PK\x01\x02") + offset] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+        load_checkpoint(path, expected_kind="k")
+
+
+def test_atomic_write_error_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("mid-write")
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
+
+
+def test_atomic_write_creates_the_directory_and_replaces_the_target(tmp_path):
+    path = tmp_path / "new" / "data.bin"
+    for payload in (b"first", b"second"):
+        with atomic_write(path, "wb") as fh:
+            fh.write(payload)
+        assert path.read_bytes() == payload
+    assert sorted(p.name for p in path.parent.iterdir()) == ["data.bin"]
 
 
 def test_duplicate_parameter_names_rejected():

@@ -192,6 +192,54 @@ def test_effects_curve_requires_effects_checkpoint(tmp_path, capsys):
     assert "demandnet train-effects" in capsys.readouterr().err
 
 
+def test_a_failing_command_writes_no_config_snapshot(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert _run("forecast", "--out", str(out)) == 2
+    assert not os.path.exists(out / "config.forecast.json")
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("content", ['{"kind": "demandnet-manifest", "data_', "{}", "[]",
+                                     '{"data_csv": 3}',
+                                     '{"data_csv": "d.csv", "sidecar_csv": 3}'])
+def test_an_unreadable_manifest_is_one_error_line(tmp_path, capsys, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_text(content)
+    assert _run("select-features", "--out", str(out)) == 2
+    line = _one_error_line(capsys)
+    assert str(out / "manifest.json") in line and "demandnet synth" in line
+
+
+def test_forecast_on_a_truncated_checkpoint_is_one_error_line(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_dir, "manifest.json"), out)
+    with open(os.path.join(pipeline_dir, "forecaster.npz"), "rb") as fh:
+        whole = fh.read()
+    (out / "forecaster.npz").write_bytes(whole[: len(whole) // 2])
+    capsys.readouterr()
+    assert _run("forecast", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    assert "unreadable checkpoint" in _one_error_line(capsys)
+    assert not os.path.exists(out / "forecast.csv")
+
+
+def test_an_unknown_curve_feature_is_one_error_line(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_dir, "effects.npz"), out)
+    capsys.readouterr()
+    assert _run("effects-curve", "--config", _write_config(tmp_path), "--out", str(out),
+                "--set", "curve_feature=nope") == 2
+    assert "curve_feature" in _one_error_line(capsys)
+    assert sorted(os.listdir(out)) == ["effects.npz"]
+
+
 def test_unknown_override_key_exits_with_usage_error(tmp_path, capsys):
     assert _run("synth", "--out", str(tmp_path), "--set", "kapa=10") == 2
     err = capsys.readouterr().err
@@ -304,6 +352,11 @@ def synth_dir(tmp_path_factory):
     ('eval_methods=["foo"]', "eval_methods"),
     ('eval_methods=["ar","ar"]', "eval_methods"),
     ("eval_seeds=[0,0]", "eval_seeds"),
+    ("curve_points=0", "curve_points"),
+    ("curve_points=1", "curve_points"),
+    ("curve_degree=-1", "curve_degree"),
+    ("curve_degree=11", "curve_degree"),
+    ("curve_points=3", "curve_degree"),
 ])
 def test_out_of_range_settings_fail_at_load(synth_dir, tmp_path, capsys, command,
                                             override, key):
@@ -316,6 +369,21 @@ def test_out_of_range_settings_fail_at_load(synth_dir, tmp_path, capsys, command
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"{key} must be" in err[0]
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_a_horizon_longer_than_every_test_range_is_one_error_line(synth_dir, tmp_path,
+                                                                  capsys):
+    # 90-day series have 9-day test ranges
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(synth_dir, "manifest.json"), out)
+    capsys.readouterr()
+    code = _run("evaluate", "--config", _write_config(tmp_path), "--out", str(out),
+                "--set", "horizons=[6,20]")
+    assert code == 2
+    line = _one_error_line(capsys)
+    assert "horizons" in line and "horizon 20" in line
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 

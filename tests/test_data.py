@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -264,6 +266,19 @@ def test_csv_round_trip(tmp_path):
         assert back.covariates.tobytes() == original.covariates.tobytes()
         assert back.covariate_names == original.covariate_names
         assert back.static_profile == original.static_profile
+
+
+def test_a_csv_write_that_fails_partway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_dataset_csv([build_bundle(series_id="S0")], path)
+    previous = path.read_bytes()
+    other = build_bundle(series_id="S1")
+    renamed = replace(other, id="S2", covariate_names=("policy", "mobility"))
+    # the first series is written before the second one's names are checked
+    with pytest.raises(ValueError, match="disagree on covariate names"):
+        write_dataset_csv([other, renamed], path)
+    assert path.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
 
 
 def test_missing_day_is_a_gap_error(tmp_path):

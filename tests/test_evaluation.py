@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandnet import evaluation
 from demandnet.config import PipelineConfig
 from demandnet.data import prepare_bundle
 from demandnet.evaluation import (
     EXP_SMOOTHING_ALPHAS,
     EXP_SMOOTHING_BETAS,
+    UnscorableHorizonError,
     _ar_paths,
     _es_grid,
     ar_forecast,
@@ -498,6 +502,19 @@ def test_protocol_rejects_unknown_or_repeated_methods_and_seeds(methods, seeds, 
     # each (method, seed) pair is one run: a repeat would be scored twice
     with pytest.raises(ValueError, match=match):
         run_split80(_protocol_bundles(), methods=methods, seeds=seeds, cfg=_tiny_cfg())
+
+
+@pytest.mark.parametrize("horizons", [(4, 11), (11, 20)])
+def test_an_unscorable_horizon_fails_before_any_fit(monkeypatch, horizons):
+    # 100-day series have 10-day test ranges: no origin can score h = 11
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a baseline or the trainer")
+
+    monkeypatch.setattr(evaluation, "classical_eval_bundle", unreachable)
+    monkeypatch.setattr(evaluation, "train_demandnet", unreachable)
+    cfg = replace(_tiny_cfg(), horizons=horizons)
+    with pytest.raises(UnscorableHorizonError, match=r"horizon 11\b.* 10 steps"):
+        run_split80(_protocol_bundles(), methods=("demandnet", "ar"), seeds=(0,), cfg=cfg)
 
 
 def test_unseen_protocol_rejects_unknown_held_id():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demandnet.effects import EffectModel, marginal_effect, policy_delta
 from demandnet.forecaster import (
@@ -417,6 +419,37 @@ def test_checkpoint_with_another_skip_rule_is_refused(skip_model, tmp_path, key,
     meta["arch"][key] = value
     save_checkpoint(path, "forecaster", meta, arrays)
     with pytest.raises(CheckpointError, match=key):
+        load_forecaster(path)
+
+
+def test_effects_without_feature_means_is_a_checkpoint_error(skip_model, tmp_path):
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    del arrays["effects::feature_means"]
+    save_checkpoint(path, "forecaster", meta, arrays)
+    with pytest.raises(CheckpointError, match="feature_means"):
+        load_forecaster(path)
+
+
+def _small_checkpoint_bytes(directory) -> bytes:
+    arch = ForecasterArch(cell="gru", hidden=4, layers=1, horizon=3, dropout=0.1)
+    effects = EffectModel(("policy", "cases"), widths=(4,), rng=stream(3, "em"))
+    effects.feature_means = np.array([0.3, 1.7])
+    model = ForecasterModel(arch, tau=4, channel_names=("target", "policy"),
+                            policy_channel=1, effect_model=effects, rng=stream(3, "gru"))
+    path = directory / "fore.npz"
+    save_forecaster(model, path)
+    return path.read_bytes()
+
+
+@given(st.data())
+def test_a_truncated_checkpoint_is_a_checkpoint_error(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("truncated")
+    whole = _small_checkpoint_bytes(directory)
+    path = directory / "cut.npz"
+    path.write_bytes(whole[: data.draw(st.integers(0, len(whole) - 1), label="length")])
+    with pytest.raises(CheckpointError):
         load_forecaster(path)
 
 
