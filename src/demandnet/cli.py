@@ -34,6 +34,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .data import (
     DataError,
     SeriesBundle,
+    holdout_series,
     load_dataset,
     synth_generate,
     write_dataset_csv,
@@ -215,9 +216,6 @@ def cmd_forecast(cfg: RunConfig):
     if not matches:
         raise ConfigError(f"series {sid!r} not in the dataset manifest")
     bundle = matches[0]
-    if cfg.forecast_policy_mode not in ("known", "dummy"):  # no CLI way to pass a schedule
-        raise ConfigError(f"forecast_policy_mode must be 'known' or 'dummy', "
-                          f"got {cfg.forecast_policy_mode!r}")
     try:
         dist = forecast_unseen(model, bundle, policy_mode=cfg.forecast_policy_mode,
                                origin=cfg.forecast_origin, kappa=cfg.kappa,
@@ -248,16 +246,17 @@ def cmd_evaluate(cfg: RunConfig):
     """Retrain per seed from the current config and score the protocol."""
     bundles = _load_manifest_bundles(cfg)
     pipeline_cfg = cfg.pipeline()
+    if cfg.eval_protocol == "unseen":
+        try:
+            holdout_series(bundles, cfg.held_ids)
+        except ValueError as exc:  # ids the manifest lacks, none, or every series
+            raise ConfigError(f"held_ids={list(cfg.held_ids)}: {exc}") from exc
     try:
         if cfg.eval_protocol == "split80":
             report = run_split80(bundles, cfg.eval_methods, cfg.eval_seeds, pipeline_cfg)
-        elif cfg.eval_protocol == "unseen":
-            if not cfg.held_ids:
-                raise ConfigError("eval_protocol='unseen' needs held_ids")
+        else:
             report = run_unseen(bundles, cfg.held_ids, cfg.eval_methods, cfg.eval_seeds,
                                 pipeline_cfg)
-        else:
-            raise ConfigError(f"unknown eval_protocol {cfg.eval_protocol!r}")
     except UnscorableHorizonError as exc:
         raise ConfigError(f"horizons={list(cfg.horizons)}: {exc}") from exc
     _write(cfg, "evaluation.csv", report.to_csv_text())

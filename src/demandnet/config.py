@@ -89,6 +89,12 @@ class RunConfig:
                                   f"with `seed` (--seed) instead")
         self.pipeline()  # range errors surface at load, not mid-command
         check_methods_and_seeds(self.eval_methods, self.eval_seeds, prefix="eval_")
+        if self.eval_protocol not in ("split80", "unseen"):
+            raise ConfigError(f"eval_protocol must be 'split80' or 'unseen', "
+                              f"got {self.eval_protocol!r}")
+        if self.forecast_policy_mode not in ("known", "dummy"):  # no CLI way to pass a schedule
+            raise ConfigError(f"forecast_policy_mode must be 'known' or 'dummy', "
+                              f"got {self.forecast_policy_mode!r}")
         if self.curve_points < 2:
             raise ConfigError(f"curve_points must be >= 2, got {self.curve_points}")
         if not 1 <= self.curve_degree < self.curve_points:

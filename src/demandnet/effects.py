@@ -1,6 +1,11 @@
 """Penalized multilayer network mapping named features to demand, plus the
 marginal-effect machinery that makes it interpretable.
 
+Outside training the network runs in fixed blocks of ``BLOCK`` rows, the
+last one padded.  A row's output depends on how many rows share a matmul,
+so one block shape makes every prediction independent of its batch-mates,
+and it keeps each temporary at ``BLOCK`` × width however many rows come in.
+
 The model is deliberately small and dense (logistic hidden layers, linear
 output, L2 weight penalty).  Interpretation comes from marginal-effect
 curves: sweep one feature over a grid while every other feature sits at its
@@ -21,7 +26,7 @@ from .nn.optim import TrainConfig, fit
 from .rngs import stream
 
 log = logging.getLogger(__name__)
-POLICY_BLOCK = 128  # rows per effects-network call in policy_delta
+BLOCK = 128  # rows per effects-network call outside training
 HIDDEN_LAYERS = 2  # logistic hidden layers of a trained effects network
 
 
@@ -104,15 +109,30 @@ class EffectModel:
         return [p for layer in self.layers for p in layer.parameters()]
 
     def predict(self, X: np.ndarray, cache: bool = False) -> np.ndarray:
-        """(N, features) rows -> (N,) predicted demand."""
-        out = np.asarray(X, dtype=float)
-        if out.ndim != 2 or out.shape[1] != len(self.feature_names):
+        """(N, features) rows -> (N,) predicted demand.
+
+        ``cache=True`` runs the batch whole and keeps what backward needs;
+        otherwise the rows run in blocks of ``BLOCK``.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ValueError(
-                f"expected (N, {len(self.feature_names)}) feature rows, got shape {out.shape}"
+                f"expected (N, {len(self.feature_names)}) feature rows, got shape {X.shape}"
             )
+        if cache:
+            return self._forward(X, cache=True)
+        out = np.empty(X.shape[0])
+        block = np.zeros((BLOCK, X.shape[1]))
+        for start in range(0, X.shape[0], BLOCK):
+            n = min(BLOCK, X.shape[0] - start)
+            block[:n] = X[start : start + n]  # no row depends on the stale rows past n
+            out[start : start + n] = self._forward(block, cache=False)[:n]
+        return out
+
+    def _forward(self, X: np.ndarray, cache: bool) -> np.ndarray:
         for layer in self.layers:
-            out = layer.forward(out, cache=cache)
-        return out[:, 0]
+            X = layer.forward(X, cache=cache)
+        return X[:, 0]
 
     def loss(self, batch, with_grads: bool = False) -> float:
         X, y = batch
@@ -199,10 +219,9 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     Always evaluates the network (a fitted polynomial is an exported summary
     only).  Shape-preserving: a scalar level gives a 0-d array.
 
-    The network runs once per distinct level, plus the reference, padded
-    with the reference to whole blocks of ``POLICY_BLOCK`` rows.  A row's
-    output depends on how many rows share the matmul, so one fixed block
-    shape makes a level's shift independent of its batch-mates.
+    The network runs once per distinct level, plus the reference; since
+    :meth:`EffectModel.predict` runs in fixed blocks, a level's shift is
+    independent of its batch-mates.
     """
     levels = np.asarray(policy_level, dtype=float)
     flat = levels.reshape(-1)
@@ -211,11 +230,9 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     if not 0.0 <= reference <= 1.0:
         raise ValueError(f"reference policy {reference} outside [0, 1]")
     distinct, inverse = np.unique(flat, return_inverse=True)
-    n_rows = -(-(distinct.size + 1) // POLICY_BLOCK) * POLICY_BLOCK
-    rows = np.tile(model.feature_means, (n_rows, 1))
+    rows = np.tile(model.feature_means, (distinct.size + 1, 1))
     col = model.feature_index(model.policy_feature)
-    rows[:, col] = reference
-    rows[: distinct.size, col] = distinct
-    pred = np.concatenate([model.predict(rows[i : i + POLICY_BLOCK])
-                           for i in range(0, n_rows, POLICY_BLOCK)])
-    return (pred[inverse] - pred[distinct.size]).reshape(levels.shape)
+    rows[:-1, col] = distinct
+    rows[-1, col] = reference
+    pred = model.predict(rows)
+    return (pred[inverse] - pred[-1]).reshape(levels.shape)

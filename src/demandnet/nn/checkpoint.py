@@ -34,10 +34,17 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, mismatched, or wrong-kind checkpoints."""
 
 
+def _umask() -> int:
+    mask = os.umask(0)  # the only way to read it is to set it
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` (creating its directory) and
-    yield it; when the block finishes it replaces ``path``, and on any
+    yield it; when the block finishes it replaces ``path`` with the mode a
+    plain :func:`open` would give (0666 less the umask), and on any
     exception it is deleted and ``path`` is left as it was.  ``mode`` and
     ``open_kwargs`` are those of :func:`open`."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -46,6 +53,7 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     try:
         with os.fdopen(fd, mode, **open_kwargs) as fh:
             yield fh
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp's 0600 would outlive the replace
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +16,8 @@ from demandnet.nn.checkpoint import (
     params_to_arrays,
     save_checkpoint,
 )
+from demandnet.data import write_dataset_csv
+from tests.conftest import build_bundle
 
 
 def test_round_trip_preserves_bytes_and_meta(tmp_path):
@@ -81,6 +86,19 @@ def test_atomic_write_creates_the_directory_and_replaces_the_target(tmp_path):
             fh.write(payload)
         assert path.read_bytes() == payload
     assert sorted(p.name for p in path.parent.iterdir()) == ["data.bin"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_get_the_mode_a_plain_open_would(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_dataset_csv([build_bundle(series_id="S0")], tmp_path / "data.csv")
+        save_checkpoint(tmp_path / "model.npz", "unit-test", {}, {"w": np.ones(3)})
+    finally:
+        os.umask(previous)
+    for name in ("data.csv", "model.npz"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
 
 
 def test_duplicate_parameter_names_rejected():

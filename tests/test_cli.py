@@ -357,6 +357,8 @@ def synth_dir(tmp_path_factory):
     ("curve_degree=-1", "curve_degree"),
     ("curve_degree=11", "curve_degree"),
     ("curve_points=3", "curve_degree"),
+    ("eval_protocol=loo", "eval_protocol"),
+    ("forecast_policy_mode=guess", "forecast_policy_mode"),
 ])
 def test_out_of_range_settings_fail_at_load(synth_dir, tmp_path, capsys, command,
                                             override, key):
@@ -384,6 +386,40 @@ def test_a_horizon_longer_than_every_test_range_is_one_error_line(synth_dir, tmp
     assert code == 2
     line = _one_error_line(capsys)
     assert "horizons" in line and "horizon 20" in line
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_evaluate_runs_the_unseen_protocol(synth_dir, tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(synth_dir, "manifest.json"), out)
+    assert _run("evaluate", "--config", _write_config(tmp_path), "--out", str(out),
+                "--set", "eval_protocol=unseen", "--set", 'held_ids=["S03"]') == 0
+    rows = (out / "evaluation.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [["unseen", "ar", "6"]]
+
+
+@pytest.mark.parametrize("held, reason", [
+    ('["S99"]', "unknown series ids"),
+    ('["S01","S99"]', "unknown series ids"),
+    ("[]", "held_ids is empty"),
+    ('["S00","S01","S02","S03"]', "nothing to train on"),
+])
+def test_unusable_held_ids_fail_before_any_training(synth_dir, tmp_path, capsys, monkeypatch,
+                                                    held, reason):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the protocol ran")
+
+    monkeypatch.setattr("demandnet.cli.run_unseen", unreachable)
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(synth_dir, "manifest.json"), out)
+    capsys.readouterr()
+    code = _run("evaluate", "--config", _write_config(tmp_path), "--out", str(out),
+                "--set", "eval_protocol=unseen", "--set", f"held_ids={held}")
+    assert code == 2
+    line = _one_error_line(capsys)
+    assert "held_ids" in line and reason in line
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 

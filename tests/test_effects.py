@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -151,6 +153,45 @@ def test_a_levels_delta_ignores_its_batch_mates(widths, levels, reference):
         alone = policy_delta(model, levels[k : k + 1], reference)[0]
         suffix = policy_delta(model, levels[k:], reference)[0]
         assert together[k].tobytes() == alone.tobytes() == suffix.tobytes(), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    widths=st.sampled_from(sorted(_BLOCK_MODELS)),
+    X=arrays(np.float64, st.tuples(st.integers(1, 400), st.just(3)),
+             elements=st.floats(-3.0, 3.0)),
+)
+@example(widths=(64, 64), X=np.linspace(-2.0, 2.0, 129 * 3).reshape(129, 3))
+@example(widths=(16, 16), X=np.linspace(-2.0, 2.0, 257 * 3).reshape(257, 3))
+def test_a_prediction_ignores_its_batch_mates(widths, X):
+    # 129 and 257 rows leave one row alone in the last block
+    model = _BLOCK_MODELS[widths]
+    together = model.predict(X)
+    for k in range(X.shape[0]):
+        alone = model.predict(X[k : k + 1])[0]
+        suffix = model.predict(X[k:])[0]
+        assert together[k].tobytes() == alone.tobytes() == suffix.tobytes(), k
+
+
+def test_the_last_history_entry_is_the_trained_models_loss(trained_model):
+    X, y, _ = _linear_response_data()
+    assert trained_model.train_history[-1] == trained_model.loss((X, y))
+
+
+def test_inference_loss_needs_no_full_batch_temporaries():
+    # one width-64 activation over 20,000 rows is 20,000 x 64 x 8 B = 10.24 MB
+    # and its quarter 2.56 MB; blocks keep every temporary at 128 x 64
+    model = EffectModel(("policy", "a", "b", "c", "d"), (64, 64), rng=stream(5, "mem"))
+    rng = stream(6, "mem-data")
+    X, y = rng.uniform(size=(20_000, 5)), rng.normal(size=20_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.loss((X, y))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.56e6, peak
 
 
 def test_unknown_feature_rejected(trained_model):
