@@ -144,7 +144,7 @@ def cmd_select_features(cfg: RunConfig):
     """Screen static features by rank correlation with shock impact."""
     bundles = _load_manifest_bundles(cfg)
     try:
-        report = filter_static(bundles, band=cfg.band)
+        report = filter_static(bundles, band=cfg.band, fractions=cfg.fractions)
     except ValueError as exc:  # too few series, or no sidecar statics
         raise DataError(f"cannot screen static features: {exc}") from exc
     _write(cfg, "static_screening.csv", report.to_csv_text())

@@ -213,13 +213,13 @@ def fit_polynomial(curve: MarginalCurve, degree: int = 3) -> PolynomialFit:
     return PolynomialFit(coefficients=coeffs, degree=degree, max_residual=residual)
 
 
-def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
-    """Predicted demand shift of policy level(s) relative to the reference.
+def policy_delta(model: EffectModel, policy_level):
+    """Predicted demand shift of policy level(s) relative to policy 0.
 
     Always evaluates the network (a fitted polynomial is an exported summary
     only).  Shape-preserving: a scalar level gives a 0-d array.
 
-    The network runs once per distinct level, plus the reference; since
+    The network runs once per distinct level, plus policy 0; since
     :meth:`EffectModel.predict` runs in fixed blocks, a level's shift is
     independent of its batch-mates.
     """
@@ -227,12 +227,10 @@ def policy_delta(model: EffectModel, policy_level, reference: float = 0.0):
     flat = levels.reshape(-1)
     if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
         raise ValueError("policy levels must lie in [0, 1]")
-    if not 0.0 <= reference <= 1.0:
-        raise ValueError(f"reference policy {reference} outside [0, 1]")
     distinct, inverse = np.unique(flat, return_inverse=True)
     rows = np.tile(model.feature_means, (distinct.size + 1, 1))
     col = model.feature_index(model.policy_feature)
     rows[:-1, col] = distinct
-    rows[-1, col] = reference
+    rows[-1, col] = 0.0
     pred = model.predict(rows)
     return (pred[inverse] - pred[-1]).reshape(levels.shape)

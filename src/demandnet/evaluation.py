@@ -15,7 +15,7 @@ carried alongside.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,6 @@ EXP_SMOOTHING_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 EXP_SMOOTHING_BETAS = (0.05, 0.1, 0.2, 0.4)
 AR_ORDERS = (1, 2, 3, 7, 14)
 
-DEMANDNET_METHODS = {
-    "demandnet": None,  # use the configured cell
-    "demandnet-lstm": "lstm",
-    "demandnet-gru": "gru",
-}
 CLASSICAL_METHODS = ("exp_smoothing", "ar", "seasonal_naive")
 
 
@@ -439,7 +434,7 @@ def classical_eval_bundle(bundle: SeriesBundle, cfg: PipelineConfig,
 def check_methods_and_seeds(methods, seeds, prefix: str = "") -> None:
     """Reject an unknown method, and a method or seed named twice: each
     (method, seed) pair is one run.  ``prefix`` names the config keys."""
-    known = [*DEMANDNET_METHODS, *CLASSICAL_METHODS]
+    known = ["demandnet", *CLASSICAL_METHODS]
     unknown = [m for m in methods if m not in known]
     if unknown:
         raise ValueError(f"{prefix}methods must be among {known}, got {unknown[0]!r}")
@@ -480,20 +475,15 @@ def _run_protocol(protocol: str, train_bundles, eval_bundles, methods,
         if method in CLASSICAL_METHODS:  # the baselines draw nothing from the seed
             series_rows = [classical_eval_bundle(b, cfg, horizons, method) for b in eval_bundles]
             rows.update(((method, seed), series_rows) for seed in seeds)
-    for seed in seeds:
-        for method in methods:
-            if method in CLASSICAL_METHODS:
-                continue
-            cell = DEMANDNET_METHODS[method]
-            run_cfg = cfg if cell is None else replace(cfg, arch=replace(cfg.arch, cell=cell))
-            trained = train_demandnet(train_bundles, run_cfg, seed=seed)
-            hash_pre = trained.forecaster.param_hash()
-            rows[(method, seed)] = [
-                demandnet_eval_bundle(trained.forecaster, bundle, cfg, horizons,
-                                      kappa=cfg.kappa, seed=seed)
-                for bundle in eval_bundles
-            ]
-            param_hashes[(method, seed)] = (hash_pre, trained.forecaster.param_hash())
+    for seed in seeds if "demandnet" in methods else ():  # one training run per seed
+        trained = train_demandnet(train_bundles, cfg, seed=seed)
+        hash_pre = trained.forecaster.param_hash()
+        rows[("demandnet", seed)] = [
+            demandnet_eval_bundle(trained.forecaster, bundle, cfg, horizons,
+                                  kappa=cfg.kappa, seed=seed)
+            for bundle in eval_bundles
+        ]
+        param_hashes[("demandnet", seed)] = (hash_pre, trained.forecaster.param_hash())
 
     cells = {}
     for method in methods:

@@ -2,8 +2,9 @@
 
 Static screening is rank correlation between each candidate static feature
 and a per-series shock-impact summary (post-onset demand relative to
-pre-onset demand, onset detected as the first day of nonzero policy).  A
-feature survives iff its absolute rank correlation reaches the band edge.
+pre-onset demand, onset detected as the first day of nonzero policy, both
+read from the training range only).  A feature survives iff its absolute
+rank correlation reaches the band edge.
 
 Dynamic extraction is a stacked recurrent autoencoder: an encoder stack
 compresses a (tau, channels) window into a low-dimensional code through a
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SeriesBundle, post_shock_ratio
+from .data import SeriesBundle, post_shock_ratio, split_time
 from .nn.layers import DenseLayer
 from .nn.loss import add_penalty_grads, mse_grad, penalized_loss
 from .nn.optim import TrainConfig, fit
@@ -61,17 +62,19 @@ def spearman(x, y) -> float:
     return float(np.sum(rx * ry) / denom)
 
 
-def shock_impact_summary(bundle: SeriesBundle) -> float:
+def shock_impact_summary(bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)) -> float:
     """Per-series target summary used for static screening.
 
     Post-onset mean demand over pre-onset mean demand, where onset is the
     first day with policy > 0; series without any policy activity fall back
-    to their mean demand.
+    to their mean demand.  Only the training range of ``fractions`` is read.
     """
-    active = np.flatnonzero(bundle.policy > 0.0)
+    end = split_time(bundle, fractions).train.stop
+    target = bundle.target[:end]
+    active = np.flatnonzero(bundle.policy[:end] > 0.0)
     if active.size == 0 or active[0] == 0:
-        return float(bundle.target.mean())
-    return post_shock_ratio(bundle.target, int(active[0]))
+        return float(target.mean())
+    return post_shock_ratio(target, int(active[0]))
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,10 @@ class CorrelationReport:
         return "\n".join(lines) + "\n"
 
 
-def filter_static(bundles: list[SeriesBundle], band: float = 0.3) -> CorrelationReport:
-    """Screen static features by |rank correlation| against shock impact.
+def filter_static(bundles: list[SeriesBundle], band: float = 0.3,
+                  fractions=(0.8, 0.1, 0.1)) -> CorrelationReport:
+    """Screen static features by |rank correlation| against shock impact
+    over each series' training range.
 
     The band edge itself is retained: |r| == band passes.  Constant features
     have undefined rank correlation and are excluded with a reason.
@@ -115,7 +120,7 @@ def filter_static(bundles: list[SeriesBundle], band: float = 0.3) -> Correlation
     for b in bundles:
         if tuple(b.static_profile) != feature_names:
             raise ValueError(f"series {b.id} disagrees on static feature names")
-    summaries = np.array([shock_impact_summary(b) for b in bundles])
+    summaries = np.array([shock_impact_summary(b, fractions) for b in bundles])
     correlations, retained, reasons = [], [], []
     for name in feature_names:
         values = np.array([b.static_profile[name] for b in bundles])

@@ -150,7 +150,7 @@ class ForecasterModel:
         """Per-step demand shifts, relative to policy 0, for a (..., H) array
         of future policies."""
         policies = np.asarray(policies, dtype=float)
-        if not self.arch.use_policy_skip or self.effect_model is None:
+        if not self.arch.use_policy_skip:
             return np.zeros_like(policies)
         return np.asarray(policy_delta(self.effect_model, policies), dtype=float)
 
@@ -188,7 +188,8 @@ class ForecasterModel:
         return split_time(bundle.length, fractions), stats, stats.normalize_bundle(bundle)
 
     def mean_policy_at(self, origin: int, horizon: int) -> np.ndarray:
-        """Cross-series mean training policy path at matching absolute offsets."""
+        """Cross-series mean training policy path at matching absolute offsets;
+        offsets past the longest training range repeat its last value."""
         if self.mean_policy is None:
             raise ValueError("model has no stored mean policy trajectory")
         idx = np.minimum(np.arange(origin, origin + horizon), self.mean_policy.size - 1)
@@ -216,15 +217,15 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
 
     train_parts, val_parts = [], []
     norm_stats: dict[str, NormStats] = {}
-    max_len = max(b.length for b in bundles)
-    policy_sum = np.zeros(max_len)
-    policy_count = np.zeros(max_len)
+    # the mean policy path reads each series' training range only
+    policy_sum = np.zeros(max(split_time(b, fractions).train.stop for b in bundles))
+    policy_count = np.zeros_like(policy_sum)
     for b in bundles:
         split, norm_stats[b.id], nb = prepare_bundle(b, fractions)
         train_parts.append(make_windows(nb, tau, arch.horizon, span=split.train))
         val_parts.append(make_windows(nb, tau, arch.horizon, span=split.validation))
-        policy_sum[: b.length] += b.policy
-        policy_count[: b.length] += 1.0
+        policy_sum[: split.train.stop] += b.policy[: split.train.stop]
+        policy_count[: split.train.stop] += 1.0
     train, val = Windows.concat(train_parts), Windows.concat(val_parts)
     if not len(train):
         raise ValueError(f"no training windows: series too short for tau={tau} "
@@ -236,7 +237,7 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
         rng=stream(config.seed, "forecaster", "init"), lam=config.weight_decay,
     )
     model.norm_stats = norm_stats
-    model.mean_policy = policy_sum / np.maximum(policy_count, 1.0)
+    model.mean_policy = policy_sum / policy_count
 
     delta_tr = model.policy_deltas(P_tr)
     # without validation windows the best epoch is picked on the training windows
@@ -534,11 +535,13 @@ def load_forecaster(path) -> ForecasterModel:
     unknown = sorted(set(given) - {f.name for f in fields(ForecasterArch)})
     if unknown:
         raise CheckpointError(f"forecaster arch carries unsupported fields {unknown}")
-    arch = ForecasterArch(**given)
-    model = ForecasterModel(
-        arch, meta["tau"], tuple(meta["channel_names"]), meta["policy_channel"],
-        effect_model=em, lam=meta["lam"],
-    )
+    try:  # such as a policy skip without its effects model
+        model = ForecasterModel(
+            ForecasterArch(**given), meta["tau"], tuple(meta["channel_names"]),
+            meta["policy_channel"], effect_model=em, lam=meta["lam"],
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"forecaster checkpoint: {exc}") from exc
     load_params_from_arrays(model.parameters(), arrays)
     # files saved from a bare train_forecaster model store null: arch.dropout
     if meta.get("mc_p") is not None:

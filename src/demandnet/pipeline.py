@@ -73,7 +73,7 @@ def screen_statics(bundles: list[SeriesBundle], cfg: PipelineConfig) -> Correlat
         return None
     if len(bundles) < 3 or not bundles[0].static_profile:
         return None
-    return filter_static(bundles, band=cfg.band)
+    return filter_static(bundles, band=cfg.band, fractions=cfg.fractions)
 
 
 def effect_training_data(bundles: list[SeriesBundle], cfg: PipelineConfig):
@@ -153,10 +153,6 @@ def train_demandnet(bundles: list[SeriesBundle], cfg: PipelineConfig,
         effects if cfg.arch.use_policy_skip else None,
         tau=cfg.tau, fractions=cfg.fractions,
     )
-    # keep the effects model reachable for curve artifacts even when the
-    # skip connection is ablated
-    if model.effect_model is None:
-        model.effect_model = effects
     if cfg.dropout_candidates:
         pooled = pooled_validation_windows(bundles, cfg, cfg.arch.horizon)
         if pooled is None:

@@ -316,6 +316,22 @@ def test_forecast_with_another_skip_rule_is_one_error_line(pipeline_dir, tmp_pat
     assert len(err) == 1 and err[0].startswith("error:") and "adjust_mode" in err[0]
 
 
+def test_forecast_with_a_skip_but_no_effects_model_is_one_error_line(pipeline_dir, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_dir, "manifest.json"), out)
+    meta, arrays = load_checkpoint(os.path.join(pipeline_dir, "forecaster.npz"),
+                                   expected_kind="forecaster")
+    assert meta["arch"]["use_policy_skip"]
+    meta["effects"] = None
+    save_checkpoint(out / "forecaster.npz", "forecaster", meta, arrays)
+    capsys.readouterr()
+    assert _run("forecast", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "effect model" in err[0]
+
+
 def test_forecast_with_an_unknown_arch_field_is_one_error_line(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -351,6 +367,7 @@ def synth_dir(tmp_path_factory):
     ("fractions=[0.5,0.5,0.5]", "fractions"),
     ('eval_methods=["foo"]', "eval_methods"),
     ('eval_methods=["ar","ar"]', "eval_methods"),
+    ('eval_methods=["demandnet-lstm"]', "eval_methods"),
     ("eval_seeds=[0,0]", "eval_seeds"),
     ("curve_points=0", "curve_points"),
     ("curve_points=1", "curve_points"),

@@ -106,8 +106,7 @@ def test_predict_takes_feature_rows_only(trained_model):
 
 def test_policy_delta_is_zero_at_reference(trained_model):
     model = trained_model
-    assert policy_delta(model, 0.0, reference=0.0) == 0.0
-    assert policy_delta(model, 0.7, reference=0.7) == 0.0
+    assert policy_delta(model, 0.0) == 0.0
 
 
 def test_policy_delta_preserves_shape(trained_model):
@@ -143,15 +142,14 @@ _BLOCK_MODELS = {w: _random_effect_model(w) for w in ((4,), (16, 16), (64, 64))}
 @given(
     widths=st.sampled_from(sorted(_BLOCK_MODELS)),
     levels=arrays(np.float64, st.integers(1, 400), elements=st.floats(0.0, 1.0)),
-    reference=st.floats(0.0, 1.0),
 )
-def test_a_levels_delta_ignores_its_batch_mates(widths, levels, reference):
+def test_a_levels_delta_ignores_its_batch_mates(widths, levels):
     # more than 127 distinct levels spill into a second block of rows
     model = _BLOCK_MODELS[widths]
-    together = policy_delta(model, levels, reference)
+    together = policy_delta(model, levels)
     for k in range(levels.size):
-        alone = policy_delta(model, levels[k : k + 1], reference)[0]
-        suffix = policy_delta(model, levels[k:], reference)[0]
+        alone = policy_delta(model, levels[k : k + 1])[0]
+        suffix = policy_delta(model, levels[k:])[0]
         assert together[k].tobytes() == alone.tobytes() == suffix.tobytes(), k
 
 

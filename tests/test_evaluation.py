@@ -476,16 +476,6 @@ def test_protocol_reruns_are_byte_identical(split_report):
     assert again.to_csv_text() == split_report.to_csv_text()
 
 
-def test_cell_methods_train_the_named_cell():
-    # the configured cell is gru, so demandnet-gru trains the same model
-    report = run_split80(_protocol_bundles(), methods=("demandnet", "demandnet-gru",
-                                                       "demandnet-lstm"),
-                         seeds=(0,), cfg=_tiny_cfg())
-    hashes = {m: report.param_hashes[(m, 0)][0] for m in report.methods}
-    assert hashes["demandnet-gru"] == hashes["demandnet"] != hashes["demandnet-lstm"]
-    assert report.horizons == (4,)
-
-
 def test_unseen_protocol_scores_only_held_series():
     report = run_unseen(_protocol_bundles(), held_ids=("S2",), methods=("ar",),
                         seeds=(0,), cfg=_tiny_cfg())

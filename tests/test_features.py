@@ -132,6 +132,21 @@ def test_shock_impact_summary_is_post_over_pre():
     assert shock_impact_summary(bundles[0]) == pytest.approx(0.25, abs=1e-12)
 
 
+def test_shock_impact_summary_reads_the_training_range_only():
+    # 60 days train on [0, 48): days past 48 move neither the ratio nor the onset
+    (bundle,) = _screening_bundles({"a": [1.0]}, impacts=[0.25])
+    target = bundle.target.copy()
+    target[48:] = 1e3
+    late = build_bundle(length=60, target=target, policy=bundle.policy, series_id="L")
+    assert shock_impact_summary(late) == pytest.approx(0.25, abs=1e-12)
+    policy = np.zeros(60)
+    policy[50:] = 1.0
+    no_onset = build_bundle(length=60, target=target, policy=policy, series_id="N")
+    assert shock_impact_summary(no_onset) == pytest.approx(target[:48].mean(), abs=1e-12)
+    assert shock_impact_summary(no_onset, fractions=(0.9, 0.05, 0.05)) != pytest.approx(
+        target[:48].mean())
+
+
 def test_filter_retains_aligned_feature_and_drops_noise():
     impacts = [0.2, 0.4, 0.6, 0.8, 1.0]
     bundles = _screening_bundles(

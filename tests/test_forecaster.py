@@ -120,14 +120,14 @@ def test_additive_adjustment_shifts_forecast():
     windows, policies = rng.normal(size=(3, TAU, 2)), rng.uniform(size=(3, HORIZON))
     got = mc_forecast_batch(skip, windows, policies, kappa=4, p=0.2, seed=1)
     base = mc_forecast_batch(plain, windows, policies, kappa=4, p=0.2, seed=1)
-    assert np.array_equal(got, base + policy_delta(skip.effect_model, policies, 0.0))
+    assert np.array_equal(got, base + policy_delta(skip.effect_model, policies))
 
 
 def test_policy_adjustment_follows_the_marginal_effect():
     em = _effect_model()
     base = np.array([1.0, 1.0, 1.0, 1.0])
     policies = np.array([0.0, 0.25, 0.5, 1.0])
-    got = base + policy_delta(em, policies, 0.0)
+    got = base + policy_delta(em, policies)
     curve = marginal_effect(em, "policy", np.array([0.0, *policies]))
     np.testing.assert_allclose(got, base + curve.values[1:] - curve.values[0],
                                rtol=0, atol=1e-12)
@@ -278,7 +278,8 @@ def test_training_tracks_histories_and_best_epoch(plain_model):
 
 def test_training_stores_per_series_normalization(plain_model):
     assert set(plain_model.norm_stats) == {"T0", "T1"}
-    assert plain_model.mean_policy is not None
+    # the mean policy path covers the 100-day series' training range, days 0-79
+    assert plain_model.mean_policy.size == 80
 
 
 def test_training_rejects_mismatched_channel_sets():
@@ -420,6 +421,30 @@ def test_checkpoint_with_another_skip_rule_is_refused(skip_model, tmp_path, key,
     save_checkpoint(path, "forecaster", meta, arrays)
     with pytest.raises(CheckpointError, match=key):
         load_forecaster(path)
+
+
+def test_skip_checkpoint_without_an_effects_model_is_refused(skip_model, tmp_path):
+    path = tmp_path / "fore.npz"
+    save_forecaster(skip_model, path)
+    meta, arrays = load_checkpoint(path, expected_kind="forecaster")
+    meta["effects"] = None
+    save_checkpoint(path, "forecaster", meta, arrays)
+    with pytest.raises(CheckpointError, match="effect model"):
+        load_forecaster(path)
+
+
+def test_skipless_checkpoint_with_an_effects_model_adds_no_shift(tmp_path):
+    # older files kept the effects model on a forecaster whose skip was off
+    arch = ForecasterArch(cell="gru", hidden=4, layers=1, horizon=HORIZON,
+                          use_policy_skip=False)
+    model = ForecasterModel(arch, tau=TAU, channel_names=("target", "policy"),
+                            policy_channel=1, effect_model=_effect_model(),
+                            rng=stream(3, "skipless"))
+    save_forecaster(model, tmp_path / "fore.npz")
+    loaded = load_forecaster(tmp_path / "fore.npz")
+    policies = stream(4, "skipless").uniform(size=(3, HORIZON))
+    assert np.array_equal(loaded.policy_deltas(policies), np.zeros((3, HORIZON)))
+    assert loaded.param_hash() == model.param_hash()
 
 
 def test_effects_without_feature_means_is_a_checkpoint_error(skip_model, tmp_path):
