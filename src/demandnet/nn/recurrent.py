@@ -8,7 +8,10 @@ Every cell takes batches only and has one contract:
 ``h0`` is the (B, hidden) initial hidden state, zeros when omitted.
 ``backward`` takes the gradient on every output, accumulates the parameter
 gradients, and returns the gradients on the input sequence and on ``h0``.
-The LSTM memory cell always starts at zero and stays internal.
+The LSTM memory cell always starts at zero and stays internal.  Both also
+take a ``relay``, which only :class:`RecurrentStack`'s wavefront passes: it
+supplies the output array and paces each step against the neighbouring
+layer.
 
 Gate weights are packed into combined matrices: input weights
 (in_dim, G*hidden) and recurrent weights (hidden, G*hidden), G = 4 for LSTM
@@ -19,6 +22,9 @@ forcing z = 1 hands the state entirely to the candidate.
 """
 
 from __future__ import annotations
+
+import contextvars
+import threading
 
 import numpy as np
 
@@ -31,6 +37,20 @@ def _as_sequence(X: np.ndarray, in_dim: int, name: str) -> np.ndarray:
     if X.ndim != 3 or X.shape[2] != in_dim:
         raise ValueError(f"{name} expects (T, B, {in_dim}) input, got shape {X.shape}")
     return X
+
+
+def _cache_buffers(layer, shape, n: int) -> list[np.ndarray]:
+    """``n`` arrays of ``shape`` for the BPTT cache a forward pass fills.
+
+    The layer's last cache is dropped first, so it never holds two and a
+    forward that fails leaves none for ``backward`` to misuse.  Its arrays
+    are reused when their shape matches: every step overwrites them, and
+    reused pages need no fresh faults (the cache is ``(X, *buffers)``).
+    """
+    old, layer._cache = layer._cache, None
+    if old is not None and old[1].shape == shape:
+        return list(old[1:])
+    return [np.empty(shape) for _ in range(n)]
 
 
 class LSTMLayer:
@@ -49,16 +69,18 @@ class LSTMLayer:
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh, self.b]
 
-    def forward(self, X: np.ndarray, h0=None, cache: bool = True) -> np.ndarray:
+    def forward(self, X: np.ndarray, h0=None, cache: bool = True, relay=None) -> np.ndarray:
         X = _as_sequence(X, self.in_dim, self.name)
         T, B, _ = X.shape
         k = self.hidden
         h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
         c = np.zeros((B, k))
-        H = np.empty((T, B, k))
+        H = np.empty((T, B, k)) if relay is None else relay.out
         if cache:
-            I, F, G, O, TC, Hprev, Cprev = (np.empty((T, B, k)) for _ in range(7))
+            I, F, G, O, TC, Hprev, Cprev = _cache_buffers(self, (T, B, k), 7)
         for t in range(T):
+            if relay is not None:
+                relay.wait()
             z = X[t] @ self.Wx.value + h @ self.Wh.value + self.b.value
             i_f = sigmoid(z[:, : 2 * k])
             i, f = i_f[:, :k], i_f[:, k:]
@@ -72,23 +94,25 @@ class LSTMLayer:
             c = c_new
             h = o * tc
             H[t] = h
+            if relay is not None:
+                relay.post(t)
         if cache:
-            self._cache = dict(X=X, I=I, F=F, G=G, O=O, TC=TC, Hprev=Hprev, Cprev=Cprev)
+            self._cache = (X, I, F, G, O, TC, Hprev, Cprev)
         return H
 
-    def backward(self, dH: np.ndarray):
+    def backward(self, dH: np.ndarray, relay=None):
         """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
-        cc = self._cache
-        X, I, F, G, O, TC = cc["X"], cc["I"], cc["F"], cc["G"], cc["O"], cc["TC"]
-        Hprev, Cprev = cc["Hprev"], cc["Cprev"]
+        X, I, F, G, O, TC, Hprev, Cprev = self._cache
         T, B, _ = X.shape
         dH = np.asarray(dH, dtype=float)
-        dX = np.empty_like(X)
+        dX = np.empty_like(X) if relay is None else relay.out
         dh_next = np.zeros((B, self.hidden))
         dc_next = np.zeros((B, self.hidden))
         for t in range(T - 1, -1, -1):
+            if relay is not None:
+                relay.wait()
             dh = dH[t] + dh_next
             i, f, g, o, tc = I[t], F[t], G[t], O[t], TC[t]
             do = dh * tc
@@ -104,6 +128,8 @@ class LSTMLayer:
             self.Wh.grad += Hprev[t].T @ dz
             self.b.grad += dz.sum(axis=0)
             dX[t] = dz @ self.Wx.value.T
+            if relay is not None:
+                relay.post(t)
             dh_next = dz @ self.Wh.value.T
             dc_next = dc * f
         return dX, dh_next
@@ -126,15 +152,17 @@ class GRULayer:
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh_rz, self.Wh_n, self.b]
 
-    def forward(self, X: np.ndarray, h0=None, cache: bool = True) -> np.ndarray:
+    def forward(self, X: np.ndarray, h0=None, cache: bool = True, relay=None) -> np.ndarray:
         X = _as_sequence(X, self.in_dim, self.name)
         T, B, _ = X.shape
         k = self.hidden
         h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
-        H = np.empty((T, B, k))
+        H = np.empty((T, B, k)) if relay is None else relay.out
         if cache:
-            R, Z, N, Q, Hprev = (np.empty((T, B, k)) for _ in range(5))
+            R, Z, N, Q, Hprev = _cache_buffers(self, (T, B, k), 5)
         for t in range(T):
+            if relay is not None:
+                relay.wait()
             gx = X[t] @ self.Wx.value + self.b.value
             rz = sigmoid(gx[:, : 2 * k] + h @ self.Wh_rz.value)
             r, z = rz[:, :k], rz[:, k:]
@@ -144,21 +172,24 @@ class GRULayer:
                 R[t], Z[t], N[t], Q[t], Hprev[t] = r, z, n, q, h
             h = (1.0 - z) * h + z * n
             H[t] = h
+            if relay is not None:
+                relay.post(t)
         if cache:
-            self._cache = dict(X=X, R=R, Z=Z, N=N, Q=Q, Hprev=Hprev)
+            self._cache = (X, R, Z, N, Q, Hprev)
         return H
 
-    def backward(self, dH: np.ndarray):
+    def backward(self, dH: np.ndarray, relay=None):
         """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
-        cc = self._cache
-        X, R, Z, N, Q, Hprev = cc["X"], cc["R"], cc["Z"], cc["N"], cc["Q"], cc["Hprev"]
+        X, R, Z, N, Q, Hprev = self._cache
         T, B, _ = X.shape
         dH = np.asarray(dH, dtype=float)
-        dX = np.empty_like(X)
+        dX = np.empty_like(X) if relay is None else relay.out
         dh_next = np.zeros((B, self.hidden))
         for t in range(T - 1, -1, -1):
+            if relay is not None:
+                relay.wait()
             dh = dH[t] + dh_next
             r, z, n, q, h_prev = R[t], Z[t], N[t], Q[t], Hprev[t]
             dz_gate = dh * (n - h_prev)
@@ -178,11 +209,20 @@ class GRULayer:
             self.Wx.grad += X[t].T @ dgx
             self.b.grad += dgx.sum(axis=0)
             dX[t] = dgx @ self.Wx.value.T
+            if relay is not None:
+                relay.post(t)
             dh_next = dh_prev
         return dX, dh_next
 
 
 CELL_KINDS = {"lstm": LSTMLayer, "gru": GRULayer}
+
+# A stack whose layers are all at least this wide runs as a wavefront; see
+# RecurrentStack.  A hand-off costs the same however small a step is:
+# measured forward + backward over 32 steps at one BLAS thread, the
+# wavefront wins from width 48 at batch 128, from 96 at batch 64, and
+# breaks even at 96 to 128 at batch 32.
+WAVEFRONT_MIN_WIDTH = 96
 
 
 def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
@@ -193,12 +233,95 @@ def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
     return cls(in_dim, hidden, rng=rng, name=name or kind)
 
 
+class _Aborted(Exception):
+    """Ends a wavefront layer whose input layer failed."""
+
+
+class _Relay:
+    """One layer's place in a wavefront pass.
+
+    The layer writes its output steps into ``out``.  ``wait()`` runs before
+    each step reads its input and blocks until ``source``, the layer that
+    produces that input, has handed the step over; ``post(t)`` masks step t
+    of ``out`` and hands it on.  ``ready`` counts the steps handed on.
+    """
+
+    def __init__(self, out, mask, source):
+        self.out, self.mask, self.source = out, mask, source
+        self.ready = threading.Semaphore(0)
+        self.broken = False
+
+    def wait(self):
+        if self.source is not None:
+            self.source.ready.acquire()
+            if self.source.broken:
+                raise _Aborted
+
+    def post(self, t: int):
+        if self.mask is not None:
+            self.out[t] *= self.mask
+        self.ready.release()
+
+    def stop(self):
+        """Wake the consumer for every step it may still wait on; it aborts."""
+        self.broken = True
+        self.ready.release(len(self.out))
+
+
+def _wavefront(run_layer, outs, out_masks, backward: bool):
+    """Run ``run_layer(l, relay)`` for every layer l at once, the top layer in
+    the caller and each other layer on a worker thread; returns the results.
+
+    Forward, layer l consumes layer l-1's steps; backward, layer l+1's.  A
+    failed layer stops its consumers, never its producers, so the error
+    raised is the one the sequential schedule, layer by layer, would raise.
+    Workers run in a copy of the caller's context, so numpy error states
+    such as :func:`~demandnet.nn.optim.fit`'s hold there too.
+    """
+    L = len(outs)
+    relays, source = [None] * L, None
+    for l in (range(L - 1, -1, -1) if backward else range(L)):
+        relays[l] = source = _Relay(outs[l], out_masks[l], source)
+    results, errors = [None] * L, [None] * L
+
+    def run(l):
+        try:
+            results[l] = run_layer(l, relays[l])
+        except BaseException as exc:  # re-raised by the caller below
+            relays[l].stop()
+            if not isinstance(exc, _Aborted):
+                errors[l] = exc
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, l),
+                                name=f"wavefront-{l}") for l in range(L - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        run(L - 1)
+    finally:
+        for worker in workers:
+            worker.join()
+    failed = [exc for exc in errors if exc is not None]
+    if failed:
+        raise failed[-1] if backward else failed[0]
+    return results
+
+
 class RecurrentStack:
     """Stacked recurrent layers with an optional dropout mask per layer.
 
     Masks are (B, width) arrays shared across all time steps of a pass, the
     Monte-Carlo dropout convention; they multiply each layer's output
     sequence before it feeds the next layer (or the readout).
+
+    A stack of two or more layers, all at least ``WAVEFRONT_MIN_WIDTH``
+    wide, runs its cached forward and its backward as a wavefront over
+    (time, layer): layer l+1 needs only step t of layer l to run its step t,
+    so each layer runs its own loop on its own thread and hands each step
+    on as soon as it is written.  Each loop does the same operations in the
+    same order as when the layers run one after another, so every output
+    and gradient is bitwise the same.  Below that width the hand-offs cost
+    more than the overlap saves, and the layers run one after another.
     """
 
     def __init__(self, kind: str, in_dim: int, widths, rng, name: str = "stack"):
@@ -230,16 +353,27 @@ class RecurrentStack:
             raise ValueError(f"expected {len(self.layers)} masks, got {len(masks)}")
         if initial_states is not None and len(initial_states) != len(self.layers):
             raise ValueError("one initial state per layer required")
+        masks = masks if masks is not None else [None] * len(self.layers)
+        states = initial_states if initial_states is not None else [None] * len(self.layers)
+        B = X.shape[1]
+        reps = len(masks[0]) // B if np.ndim(masks[0]) == 2 else 1
+        if reps > 1 and (cache or states[0] is not None):
+            raise ValueError("masks with m*B rows are for inference only")
         self._masks = masks if cache else None
+        if cache and self._pipelined():
+            T = X.shape[0]
+            outs = [np.empty((T, B, w)) for w in self.widths]
+
+            def run_layer(l, relay):
+                source = X if l == 0 else outs[l - 1]
+                return self.layers[l].forward(source, h0=states[l], cache=True, relay=relay)
+
+            _wavefront(run_layer, outs, masks, backward=False)
+            return outs[-1]
         cur = X
         for l, layer in enumerate(self.layers):
-            h0 = initial_states[l] if initial_states is not None else None
-            mask = masks[l] if masks is not None else None
-            B = cur.shape[1]
-            reps = len(mask) // B if l == 0 and np.ndim(mask) == 2 else 1
-            if reps > 1:
-                if cache or h0 is not None:
-                    raise ValueError("masks with m*B rows are for inference only")
+            h0, mask = states[l], masks[l]
+            if l == 0 and reps > 1:
                 H = layer.forward(np.repeat(cur, 2, axis=1) if B == 1 else cur, cache=False)
                 T, _, w = H.shape
                 H = (H[:, None, :B] * mask.reshape(reps, B, w)).reshape(T, reps * B, w)
@@ -250,13 +384,28 @@ class RecurrentStack:
             cur = H
         return cur
 
+    def _pipelined(self) -> bool:
+        return len(self.layers) > 1 and min(self.widths) >= WAVEFRONT_MIN_WIDTH
+
     def backward(self, dOut: np.ndarray):
         """Backpropagate through every layer; returns (dX, [dh0 per layer])."""
         d = np.asarray(dOut, dtype=float)
+        masks = self._masks if self._masks is not None else [None] * len(self.layers)
+        if self._pipelined():
+            if masks[-1] is not None:
+                d = d * masks[-1]
+            T, B = d.shape[:2]
+            outs = [np.empty((T, B, layer.in_dim)) for layer in self.layers]
+
+            def run_layer(l, relay):
+                source = d if l == len(self.layers) - 1 else outs[l + 1]
+                return self.layers[l].backward(source, relay=relay)[1]
+
+            d_initial = _wavefront(run_layer, outs, [None, *masks[:-1]], backward=True)
+            return outs[0], d_initial
         d_initial = [None] * len(self.layers)
-        masks = self._masks
         for l in range(len(self.layers) - 1, -1, -1):
-            if masks is not None and masks[l] is not None:
+            if masks[l] is not None:
                 d = d * masks[l]
             d, d_initial[l] = self.layers[l].backward(d)
         return d, d_initial

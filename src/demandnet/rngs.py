@@ -10,6 +10,7 @@ SHA-256, not the builtin ``hash``, so streams do not depend on
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,11 +18,17 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=256)
+def _text_entropy(label: str) -> int:
+    # the package uses a handful of fixed labels, each hashed once
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def _entropy(label: object) -> int:
     if isinstance(label, (int, np.integer)):
         return int(label) & _MASK64
-    digest = hashlib.sha256(str(label).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return _text_entropy(str(label))
 
 
 def stream(seed: int, *labels: object) -> np.random.Generator:

@@ -16,6 +16,7 @@ from demandnet.forecaster import (
     train_forecaster,
     variance_vs_truth,
 )
+from demandnet.nn import recurrent
 from demandnet.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.nn.recurrent import GRULayer
@@ -305,6 +306,18 @@ def test_training_raises_on_divergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             _train(epochs=2, optimizer="sgd", learning_rate=1e40)
+
+
+def test_wavefront_training_gives_the_sequential_parameters(monkeypatch):
+    arch = ForecasterArch(cell="lstm", hidden=8, layers=2, horizon=HORIZON,
+                          dropout=0.1, use_policy_skip=False)
+    hashes, passes, run = [], [], recurrent._wavefront
+    monkeypatch.setattr(recurrent, "_wavefront", lambda *a, **k: passes.append(1) or run(*a, **k))
+    for width in (10**9, 1):
+        monkeypatch.setattr(recurrent, "WAVEFRONT_MIN_WIDTH", width)
+        hashes.append(_train(arch=arch, epochs=2).param_hash())
+    assert passes  # the second run trained through the wavefront
+    assert hashes[0] == hashes[1]
 
 
 def test_gradients_match_finite_differences(skip_model):

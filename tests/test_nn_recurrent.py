@@ -1,7 +1,13 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from demandnet.nn import recurrent
 from demandnet.nn.layers import sample_dropout_mask
+from demandnet.nn.optim import DivergenceError, TrainConfig, fit
 from demandnet.nn.recurrent import GRULayer, LSTMLayer, RecurrentStack, make_cell
 from demandnet.rngs import stream
 
@@ -144,3 +150,170 @@ def test_zeroed_units_stay_zero_across_time():
     dropped = mask == 0.0
     assert dropped.any()
     assert (out[:, :, dropped] == 0.0).all()
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_a_second_cached_forward_holds_one_cache(kind):
+    T, B, k = 50, 16, 16
+    layer = make_cell(kind, 3, k, rng=stream(30, kind))
+    first, second = (stream(31, i).normal(size=(T, B, 3)) for i in range(2))
+    cache_bytes = (7 if kind == "lstm" else 5) * T * B * k * 8
+    tracemalloc.start()
+    try:
+        layer.forward(first, cache=True)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        H = layer.forward(second, cache=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < cache_bytes // 2
+    # the rewritten cache backpropagates exactly like a fresh layer's
+    fresh = make_cell(kind, 3, k, rng=stream(30, kind))
+    dH = stream(32, "dH").normal(size=H.shape)
+    assert np.array_equal(fresh.forward(second, cache=True), H)
+    for a, b in zip(layer.backward(dH), fresh.backward(dH)):
+        assert np.array_equal(a, b)
+    for p, q in zip(layer.parameters(), fresh.parameters()):
+        assert np.array_equal(p.grad, q.grad)
+
+
+# ----------------------------------------------------------------------------
+# the wavefront schedule (forced onto small shapes by lowering the width gate)
+
+def _wavefront_at(monkeypatch, width):
+    """Set the width gate and count the wavefront passes that follow."""
+    monkeypatch.setattr(recurrent, "WAVEFRONT_MIN_WIDTH", width)
+    passes, run = [], recurrent._wavefront
+    monkeypatch.setattr(recurrent, "_wavefront", lambda *a, **k: passes.append(1) or run(*a, **k))
+    return passes
+
+
+def _stack_pass(kind, widths, masked, seeded_states):
+    T, B, in_dim = 7, 5, 3
+    net = RecurrentStack(kind, in_dim, widths, rng=stream(21, kind), name="w")
+    X = stream(22, "x").normal(size=(T, B, in_dim))
+    masks = states = None
+    if masked:
+        masks = [sample_dropout_mask((B, w), 0.3, stream(23, l)) for l, w in enumerate(widths)]
+    if seeded_states:
+        states = [stream(24, l).normal(size=(B, w)) for l, w in enumerate(widths)]
+    H = net.forward(X, masks=masks, initial_states=states, cache=True)
+    dX, dh0 = net.backward(stream(25, "dH").normal(size=H.shape))
+    return [H, dX, *dh0, *(p.grad for p in net.parameters())]
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("widths", [(4, 3), (4, 5, 3)])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seeded_states", [False, True])
+def test_wavefront_gives_the_sequential_bits(monkeypatch, kind, widths, masked, seeded_states):
+    assert not _wavefront_at(monkeypatch, 10**9)
+    sequential = _stack_pass(kind, widths, masked, seeded_states)
+    passes = _wavefront_at(monkeypatch, 1)
+    pipelined = _stack_pass(kind, widths, masked, seeded_states)
+    assert len(passes) == 2  # forward and backward
+    assert len(pipelined) == len(sequential)
+    for a, b in zip(sequential, pipelined):
+        assert np.array_equal(a, b)
+
+
+def test_wavefront_bits_hold_under_frequent_thread_switches(monkeypatch):
+    # three threads on fewer cores, switching as often as the interpreter allows
+    _wavefront_at(monkeypatch, 10**9)
+    expected = _stack_pass("gru", (4, 5, 3), True, True)
+    _wavefront_at(monkeypatch, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_stack_pass("gru", (4, 5, 3), True, True) for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        for a, b in zip(expected, got):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("widths, pipelined", [
+    ((24, 24), False), ((48, 48), False), ((128,), False), ((96, 128), True),
+])
+def test_only_wide_stacks_of_two_or_more_layers_pipeline(monkeypatch, widths, pipelined):
+    passes = _wavefront_at(monkeypatch, recurrent.WAVEFRONT_MIN_WIDTH)
+    net = RecurrentStack("gru", 2, widths, rng=stream(33, "gate"), name="g")
+    X = stream(34, "x").normal(size=(2, 2, 2))
+    net.forward(X, cache=False)
+    assert not passes  # inference passes always run layer by layer
+    net.backward(net.forward(X, cache=True))
+    assert len(passes) == (2 if pipelined else 0)
+
+
+class _Injected(RuntimeError):
+    pass
+
+
+def _failing_at(method, step):
+    """``method`` (a layer's forward or backward) raising as it reaches ``step``'s hand-off."""
+    def failing(seq, *args, relay, **kwargs):
+        post = relay.post
+
+        def post_or_fail(t):
+            if t == step:
+                raise _Injected(f"failed at step {t}")
+            post(t)
+
+        relay.post = post_or_fail
+        return method(seq, *args, relay=relay, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("where", ["layer 0 forward", "top layer backward"])
+def test_a_failing_layer_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
+    _wavefront_at(monkeypatch, 1)
+    net = RecurrentStack("lstm", 3, (4, 5, 3), rng=stream(26, "fail"), name="f")
+    X = stream(27, "x").normal(size=(9, 4, 3))
+    if where == "layer 0 forward":
+        net.layers[0].forward = _failing_at(net.layers[0].forward, 4)
+        call = lambda: net.forward(X, cache=True)
+    else:
+        net.forward(X, cache=True)
+        net.layers[-1].backward = _failing_at(net.layers[-1].backward, 4)
+        call = lambda: net.backward(np.ones((9, 4, 3)))
+    raised = []
+
+    def run():
+        try:
+            call()
+        except _Injected as exc:
+            raised.append(str(exc))
+
+    before = threading.active_count()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a wavefront hand-off blocked forever"
+    assert raised == ["failed at step 4"]
+    assert threading.active_count() == before
+
+
+def test_fit_reports_an_overflow_in_a_worker_like_the_sequential_path(monkeypatch):
+    messages = []
+    for width in (10**9, 1):
+        passes = _wavefront_at(monkeypatch, width)
+        net = RecurrentStack("gru", 2, (3, 3), rng=stream(28, "div"), name="d")
+        net.layers[0].Wx.value[:] = 4.0
+        X = stream(29, "x").normal(size=(6, 4, 2))
+        X[3, 1] = 1e308  # layer 0's input product overflows at step 3
+
+        def batch_loss(rows, epoch, step):
+            H = net.forward(X[:, rows], cache=True)
+            net.backward(H)
+            return float(np.sum(H * H))
+
+        with pytest.raises(DivergenceError) as caught:
+            fit(net.parameters(), TrainConfig(epochs=1, batch_size=4), "probe", 4,
+                batch_loss, lambda epoch, loss: None)
+        assert len(passes) == (1 if width == 1 else 0)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "overflow" in messages[0]

@@ -40,3 +40,15 @@ def test_int_labels_distinguish_large_values():
     a = stream(0, 2**40).random(4)
     b = stream(0, 2**40 + 1).random(4)
     assert not np.array_equal(a, b)
+
+
+def test_string_labels_hash_once_to_fixed_bits(monkeypatch):
+    # the first draw of one stream, pinned, and SHA-256 run once per label
+    from demandnet import rngs
+
+    rngs._text_entropy.cache_clear()
+    hashed, sha256 = [], rngs.hashlib.sha256
+    monkeypatch.setattr(rngs.hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    draws = [stream(0, "mc-pass", k).integers(0, 2**62) for k in (3, 3, 4)]
+    assert draws[0] == draws[1] == 3324963277563179598
+    assert hashed == [b"mc-pass"]
