@@ -10,6 +10,7 @@ in header order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import math
@@ -321,17 +322,45 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def _open_csv(path):
+def _not_text(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file with bytes that do not decode, naming the line of
+    the first one.  The reader decodes in blocks ahead of the row it parses,
+    so the line is found afresh in the raw bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    where = path
     try:
-        return open(path, newline="")
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as first:
+        line = data.count(b"\n", 0, first.start) + 1
+        where, exc = f"{path}:{line}", first
+    return ParseError(f"{where}: not {exc.encoding} text ({exc.reason})")
+
+
+@contextlib.contextmanager
+def _csv_rows(path):
+    """A ``csv.reader`` over ``path`` whose decode and CSV failures surface
+    as :class:`ParseError` (the handler costs nothing per row)."""
+    try:
+        fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"{path}: cannot open ({exc.strerror or exc})") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _read_header(reader, path) -> list[str]:
     header = next(reader, None)
     if header is None:
         raise SchemaError(f"{path}: empty file")
+    if not header:
+        raise SchemaError(f"{path}: blank header line")
     dup = next((name for i, name in enumerate(header) if name in header[:i]), None)
     if dup is not None:
         raise SchemaError(f"{path}: duplicate column {dup!r}")
@@ -340,8 +369,7 @@ def _read_header(reader, path) -> list[str]:
 
 def load_sidecar(path, expected_ids=None) -> dict[str, dict[str, float]]:
     """Load the static-feature sidecar CSV keyed by series id."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = _read_header(reader, path)
         if header[0] != "series_id":
             raise SchemaError(f"{path}: first column must be 'series_id', got {header[0]!r}")
@@ -375,8 +403,7 @@ def load_dataset(path, sidecar=None) -> list[SeriesBundle]:
     All numeric cells must parse and be finite, and the policy column must
     stay within [0, 1].
     """
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = _read_header(reader, path)
         for col in ("series_id", "date", "target"):
             if col not in header:

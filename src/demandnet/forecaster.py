@@ -31,7 +31,7 @@ from .nn.layers import DenseLayer, sample_dropout_mask
 from .nn.loss import add_penalty_grads, mse_grad, penalized_loss
 from .nn.optim import TrainConfig, fit
 from .nn.recurrent import RecurrentStack
-from .rngs import stream
+from .rngs import stream, stream_uniforms
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,18 @@ class ForecasterModel:
             digest.update(np.ascontiguousarray(p.value).tobytes())
         return digest.hexdigest()
 
-    def _forward_base(self, windows: np.ndarray, masks=None, cache: bool = False) -> np.ndarray:
+    def _sequence(self, windows: np.ndarray) -> np.ndarray:
+        """(N, tau, C) windows as the stack's (tau, N, C) input sequence."""
         W = np.asarray(windows, dtype=float)
         if W.ndim != 3 or W.shape[1] != self.tau or W.shape[2] != len(self.channel_names):
             raise ValueError(
                 f"expected (*, {self.tau}, {len(self.channel_names)}) windows, "
                 f"got shape {W.shape}"
             )
-        X = W.transpose(1, 0, 2)
-        H = self.stack.forward(X, masks=masks, cache=cache)
+        return W.transpose(1, 0, 2)
+
+    def _forward_base(self, windows: np.ndarray, masks=None, cache: bool = False) -> np.ndarray:
+        H = self.stack.forward(self._sequence(windows), masks=masks, cache=cache)
         return self.readout.forward(H[-1], cache=cache)
 
     def _backward_base(self, dbase: np.ndarray):
@@ -298,16 +301,13 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     """(kappa, N, H) adjusted sample paths for N windows in one batched pass.
 
     Pass k draws its masks from the pre-assigned stream ``(seed, "mc-pass",
-    k)`` and applies the same network realization to every window, so the
-    result for window n is bit-identical to a single-window call with the
-    same seed.
-
-    Masks multiply layer outputs, so layer 0 runs once on the N windows and
-    its output is shared by the kappa passes (:meth:`RecurrentStack.forward`,
-    which runs a lone window twice); later layers and the readout run on
-    kappa * N rows.  When that is one row, two copies run and the first is
-    kept: numpy sends a one-row matmul to gemv, which sums in another order
-    than gemm.
+    k)``, layer by layer from one ``random`` draw of all the widths, and
+    applies the same network realization to every window, so the result
+    for window n is bit-identical to a single-window call with the same
+    seed.  The kappa passes' uniforms come as one block
+    (:func:`~demandnet.rngs.stream_uniforms`), thresholded at once.  Layer 0
+    runs once on the N windows; the layers above run on groups of whole
+    passes (:meth:`RecurrentStack.forward_passes`).
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -318,20 +318,18 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
         raise ValueError(f"expected (N, tau, C) windows, got shape {W.shape}")
     if P.shape != (W.shape[0], model.arch.horizon):
         raise ValueError(f"expected (N, {model.arch.horizon}) policies, got {P.shape}")
-    N = W.shape[0]
     widths = model.stack.widths
-    per_layer = [np.ones((kappa, w)) for w in widths]
     if p_used > 0.0:
-        for k in range(kappa):
-            rng = stream(seed, "mc-pass", k)
-            for l, w in enumerate(widths):
-                per_layer[l][k] = sample_dropout_mask((w,), p_used, rng)
-    if kappa * N == 1:
-        W = np.repeat(W, 2, axis=0)
-    masks = [np.repeat(rows, len(W), axis=0) for rows in per_layer]
-    base = model._forward_base(W, masks=masks, cache=False)[: kappa * N].reshape(kappa, N, -1)
-    delta = model.policy_deltas(P)
-    return base + delta[None, :, :]
+        U = stream_uniforms(seed, "mc-pass", count=kappa, width=sum(widths))
+        block = (U >= p_used) / (1.0 - p_used)
+    else:
+        block = np.ones((kappa, sum(widths)))
+    masks = np.split(block, np.cumsum(widths)[:-1], axis=1)
+    rows = kappa * W.shape[0]
+    top = model.stack.forward_passes(model._sequence(W), masks).reshape(rows, -1)
+    # a lone row runs as two copies, one kept, as in forward_passes
+    base = model.readout.forward(np.repeat(top, 2, axis=0) if rows == 1 else top)[:rows]
+    return base.reshape(kappa, W.shape[0], -1) + model.policy_deltas(P)[None, :, :]
 
 
 def mc_moments(samples: np.ndarray):

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandnet.data import (
+    DataError,
     GapError,
     NormStats,
     ParseError,
@@ -363,6 +364,74 @@ def test_sidecar_round_trip_values(tmp_path):
     table = load_sidecar(path)
     assert table["S0"] == {"population": 2.0, "beds": 7.5}
     assert table["S1"] == {"population": 3.0, "beds": 1.25}
+
+
+def _valid_csv_bytes(loader, tmp_path, length=40) -> bytes:
+    bundles = [build_bundle(length=length, series_id=f"S{i}") for i in range(2)]
+    path = tmp_path / "valid.csv"
+    (write_dataset_csv if loader is load_dataset else write_sidecar_csv)(bundles, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("loader", [load_dataset, load_sidecar])
+@pytest.mark.parametrize("insert, message", [
+    (b"\xff", r":300: not utf-8 text \(invalid start byte\)$"),
+    (b"7" * 200_000, r":300: field larger than field limit \(131072\)$"),
+], ids=["non-utf8", "oversized-field"])
+def test_unreadable_bytes_are_a_parse_error_naming_the_line(tmp_path, loader, insert, message):
+    # 400 rows put line 300 well past the reader's first decoded block
+    lines = _valid_csv_bytes(loader, tmp_path, length=400).splitlines(keepends=True)
+    if loader is load_sidecar:
+        lines += [b"S%d,1.0,2.0\n" % i for i in range(2, 400)]
+    lines[299] = lines[299][:6] + insert + lines[299][6:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match="bad.csv" + message):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_dataset, load_sidecar])
+def test_blank_header_line_is_a_schema_error(tmp_path, loader):
+    path = tmp_path / "blank.csv"
+    path.write_text("\nS0,1.0\n")
+    with pytest.raises(SchemaError, match="blank.csv: blank header line$"):
+        loader(path)
+
+
+_ODD_CELLS = [b"", b"nan", b"-inf", b"1e999", b"-1", b"2.0", b"x", b"\xff", b'"', b"2020-02-30",
+              b"S0", b"1,2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader=st.sampled_from([load_dataset, load_sidecar]), data=st.data())
+def test_mutated_csv_raises_only_data_errors(tmp_path_factory, loader, data):
+    directory = tmp_path_factory.mktemp("mutated")
+    raw = _valid_csv_bytes(loader, directory, length=20)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "drop", "repeat", "cell"]), label="kind")
+    if kind == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)), label="length")]
+    elif kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1 :]
+    else:
+        lines = raw.split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            cells = lines[i].split(b",")
+            j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+            cells[j] = data.draw(st.sampled_from(_ODD_CELLS), label="value")
+            lines[i] = b",".join(cells)
+        raw = b"\n".join(lines)
+    path = directory / "mutated.csv"
+    path.write_bytes(raw)
+    try:
+        loader(path)
+    except DataError:
+        pass
 
 
 # ----------------------------------------------------------------------------

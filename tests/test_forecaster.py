@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from demandnet.forecaster import (
 )
 from demandnet.nn import recurrent
 from demandnet.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from demandnet.nn.layers import sample_dropout_mask
 from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.nn.recurrent import GRULayer
 from demandnet.rngs import stream
@@ -215,8 +218,41 @@ def test_batched_forecast_with_policy_skip_matches_single_window_bitwise(cell, n
         assert np.array_equal(batch[:, i, :], single.samples), i
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_mc_forecast_runs_layer_zero_once_per_window(monkeypatch, n):
+def _per_pass_oracle(model, windows, policies, kappa, p, seed):
+    """The loop mc_forecast_batch replaced: pass k draws each layer's mask
+    from the stream (seed, "mc-pass", k) and runs the N windows alone."""
+    W = np.repeat(windows, 2, axis=0) if len(windows) == 1 else windows
+    passes = []
+    for k in range(kappa):
+        rng = stream(seed, "mc-pass", k)
+        masks = [sample_dropout_mask((w,), p, rng) for w in model.stack.widths]
+        passes.append(model._forward_base(W, masks=masks)[: len(windows)])
+    return np.stack(passes) + model.policy_deltas(policies)[None]
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("n, kappa, mc_rows", [(1, 9, 4), (3, 5, 7), (5, 3, 4)],
+                         ids=["last-group-one-row", "two-passes-a-group", "wider-than-a-group"])
+def test_grouped_mc_passes_match_the_per_pass_loop_bitwise(monkeypatch, cell, n, kappa, mc_rows):
+    monkeypatch.setattr(recurrent, "MC_ROWS", mc_rows)
+    model = _untrained_model(cell)
+    rng = stream(5, "groups", cell, n)
+    windows = rng.normal(size=(n, TAU, 2))
+    policies = rng.uniform(size=(n, HORIZON))
+    batch = mc_forecast_batch(model, windows, policies, kappa=kappa, p=0.3, seed=6)
+    oracle = _per_pass_oracle(model, windows, policies, kappa, 0.3, 6)
+    assert np.array_equal(batch, oracle)
+
+
+@pytest.mark.parametrize("n, mc_rows, groups", [
+    pytest.param(1, 512, [10], id="1"),
+    pytest.param(3, 512, [30], id="3"),
+    # a last group of one row runs as two copies
+    pytest.param(1, 3, [3, 3, 3, 2], id="1-groups"),
+    pytest.param(3, 7, [6] * 5, id="3-groups"),
+])
+def test_mc_forecast_runs_layer_zero_once_per_window(monkeypatch, n, mc_rows, groups):
+    monkeypatch.setattr(recurrent, "MC_ROWS", mc_rows)
     model = _untrained_model("gru", use_policy_skip=False)
     rows = []
     original = GRULayer.forward
@@ -226,11 +262,28 @@ def test_mc_forecast_runs_layer_zero_once_per_window(monkeypatch, n):
         return original(layer, X, *args, **kwargs)
 
     monkeypatch.setattr(GRULayer, "forward", counting_forward)
-    kappa = 10
     mc_forecast_batch(model, np.ones((n, TAU, 2)), np.zeros((n, HORIZON)),
-                      kappa=kappa, p=0.2, seed=0)
+                      kappa=10, p=0.2, seed=0)
     # one row is doubled so the matmul takes the same gemm path as a batch
-    assert rows == [("fore.0", max(n, 2)), ("fore.1", kappa * n)]
+    assert rows == [("fore.0", max(n, 2))] + [("fore.1", g) for g in groups]
+
+
+def test_panel_sized_mc_call_keeps_its_memory_bounded():
+    # 41 windows x 100 passes through a 2x24 GRU held each layer's full
+    # (tau, 4100, 24) output, about 51 MB at its peak, before the passes ran
+    # in groups of MC_ROWS rows (about 7 MB)
+    arch = ForecasterArch(cell="gru", hidden=24, layers=2, horizon=80, dropout=0.1,
+                          use_policy_skip=False)
+    model = ForecasterModel(arch, tau=24, channel_names=("target", "policy"),
+                            policy_channel=1, rng=stream(8, "panel"))
+    windows = stream(8, "windows").normal(size=(41, 24, 2))
+    tracemalloc.start()
+    try:
+        mc_forecast_batch(model, windows, np.zeros((41, 80)), kappa=100, p=0.1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, peak
 
 
 def test_forecast_seed_controls_sampling(plain_model):

@@ -129,16 +129,17 @@ def test_stack_masks_scale_layer_outputs():
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 @pytest.mark.parametrize("rows", [1, 3])
-def test_stack_runs_layer_zero_once_for_masks_with_more_rows(kind, rows):
+def test_stack_runs_layer_zero_once_for_masks_with_more_rows(kind, rows, monkeypatch):
+    # 4 passes over `rows` inputs, against a hand-tiled batch of 4 * rows;
+    # MC_ROWS = 3 splits the passes into groups, the last of one row when rows = 1
+    monkeypatch.setattr(recurrent, "MC_ROWS", 3)
     net = RecurrentStack(kind, 2, widths=(6, 4), rng=stream(11, kind), name="s")
     X = stream(11, "x").normal(size=(5, rows, 2))
-    masks = [sample_dropout_mask((4 * rows, w), 0.3, stream(12, w)) for w in (6, 4)]
-    tiled = net.forward(X, masks=masks, cache=False)
-    # with cache=True nothing is tiled, so tile the input by hand
-    full = net.forward(np.tile(X, (1, 4, 1)), masks=masks, cache=True)
-    assert np.array_equal(tiled, full)
-    with pytest.raises(ValueError, match="inference only"):
-        net.forward(X, masks=masks, cache=True)
+    masks = [sample_dropout_mask((4, w), 0.3, stream(12, w)) for w in (6, 4)]
+    passes = net.forward_passes(X, masks)
+    tiled = [np.repeat(mask, rows, axis=0) for mask in masks]
+    full = net.forward(np.tile(X, (1, 4, 1)), masks=tiled, cache=True)
+    assert np.array_equal(passes.reshape(4 * rows, 4), full[-1])
 
 
 def test_zeroed_units_stay_zero_across_time():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demandnet.rngs import stream
+from demandnet.rngs import stream, stream_uniforms
 
 
 def test_same_labels_reproduce_the_stream():
@@ -52,3 +54,24 @@ def test_string_labels_hash_once_to_fixed_bits(monkeypatch):
     draws = [stream(0, "mc-pass", k).integers(0, 2**62) for k in (3, 3, 4)]
     assert draws[0] == draws[1] == 3324963277563179598
     assert hashed == [b"mc-pass"]
+
+
+_labels = st.lists(st.one_of(st.text(max_size=8), st.integers(0, 2**64 - 1)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), labels=_labels, count=st.integers(1, 300),
+       width=st.integers(1, 64))
+def test_stream_uniforms_equal_the_row_streams_bitwise(seed, labels, count, width):
+    # numpy warns when a uint32 scalar product wraps; the block must wrap on arrays only
+    with np.errstate(all="raise"):
+        block = stream_uniforms(seed, *labels, count=count, width=width)
+    rows = [stream(seed, *labels, k).random(width) for k in range(count)]
+    assert np.array_equal(block, np.stack(rows))
+
+
+def test_stream_uniforms_reject_a_negative_seed_and_too_many_streams():
+    with pytest.raises(ValueError, match="seed"):
+        stream_uniforms(-1, "x", count=2, width=3)
+    with pytest.raises(ValueError, match="count"):
+        stream_uniforms(0, "x", count=2**32, width=3)
