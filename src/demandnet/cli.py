@@ -53,7 +53,7 @@ from .forecaster import (
 )
 from .nn.checkpoint import CheckpointError, atomic_write
 from .nn.optim import DivergenceError
-from .pipeline import train_demandnet, train_effects_for
+from .pipeline import check_lengths, train_demandnet, train_effects_for
 
 log = logging.getLogger("demandnet")
 
@@ -154,6 +154,7 @@ def cmd_select_features(cfg: RunConfig):
 def cmd_train_effects(cfg: RunConfig):
     """Train the effects model and save its checkpoint."""
     bundles = _load_manifest_bundles(cfg)
+    check_lengths(bundles, cfg.pipeline())
     model, report = train_effects_for(bundles, cfg.pipeline(), seed=cfg.seed)
     save_effects(model, os.path.join(cfg.out_dir, "effects.npz"), cfg.seed)
     _write(cfg, "effects_training.json", {
@@ -192,6 +193,7 @@ def cmd_effects_curve(cfg: RunConfig):
 def cmd_train(cfg: RunConfig):
     """Train the full pipeline and save the forecaster checkpoint."""
     bundles = _load_manifest_bundles(cfg)
+    check_lengths(bundles, cfg.pipeline(), trained=bundles)
     trained = train_demandnet(bundles, cfg.pipeline(), seed=cfg.seed)
     path = save_forecaster(trained.forecaster, os.path.join(cfg.out_dir, "forecaster.npz"))
     save_effects(trained.effects, os.path.join(cfg.out_dir, "effects.npz"), cfg.seed)
@@ -222,11 +224,11 @@ def cmd_forecast(cfg: RunConfig):
                                seed=cfg.seed, fractions=cfg.fractions)
     except ValueError as exc:  # an origin that does not fit the series
         raise ConfigError(f"forecast_origin={cfg.forecast_origin}: {exc}") from exc
-    split, stats, nb = model.prepare(bundle, cfg.fractions)
+    split, stats = model.norm_for(bundle, cfg.fractions)
     origin = cfg.forecast_origin if cfg.forecast_origin is not None else split.test.start
     var_vs = None
     if origin + model.arch.horizon <= bundle.length:
-        truth = nb.target[origin : origin + model.arch.horizon]
+        truth = stats.normalize_target(bundle.target[origin : origin + model.arch.horizon])
         var_vs = variance_vs_truth(dist, truth)
     # means shift by the per-series location, spreads only scale
     scale = float(stats.scale[0])
@@ -246,11 +248,14 @@ def cmd_evaluate(cfg: RunConfig):
     """Retrain per seed from the current config and score the protocol."""
     bundles = _load_manifest_bundles(cfg)
     pipeline_cfg = cfg.pipeline()
+    trained = bundles
     if cfg.eval_protocol == "unseen":
         try:
-            holdout_series(bundles, cfg.held_ids)
+            trained, _ = holdout_series(bundles, cfg.held_ids)
         except ValueError as exc:  # ids the manifest lacks, none, or every series
             raise ConfigError(f"held_ids={list(cfg.held_ids)}: {exc}") from exc
+    check_lengths(bundles, pipeline_cfg,
+                  trained=trained if "demandnet" in cfg.eval_methods else ())
     try:
         if cfg.eval_protocol == "split80":
             report = run_split80(bundles, cfg.eval_methods, cfg.eval_seeds, pipeline_cfg)

@@ -14,10 +14,9 @@ import contextlib
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn.checkpoint import atomic_write
 from .rngs import stream
@@ -104,9 +103,10 @@ class SeriesBundle:
     def channel_names(self) -> tuple[str, ...]:
         return ("target",) + self.covariate_names
 
-    def channel_matrix(self) -> np.ndarray:
-        """Stack target and covariates as a (T, 1+M) panel, target first."""
-        return np.column_stack([self.target, self.covariates])
+    def channel_matrix(self, rows=slice(None)) -> np.ndarray:
+        """Stack target and covariates as a (T, 1+M) panel, target first;
+        ``rows`` selects days."""
+        return np.column_stack([self.target[rows], self.covariates[rows]])
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,11 @@ def split_time(bundle: SeriesBundle | int, fractions=(0.8, 0.1, 0.1)) -> Dataset
     check_fractions(fractions)
     first = int(math.floor(round(fractions[0] * length, 9)))
     second = int(math.floor(round((fractions[0] + fractions[1]) * length, 9)))
-    if first < 1 or second <= first or length <= second:
-        raise ValueError(f"length {length} too short for fractions {fractions}")
+    sizes = {"training": first, "validation": second - first, "test": length - second}
+    empty = [name for name, size in sizes.items() if size < 1]
+    if empty:
+        raise ValueError(f"length {length} too short for fractions {fractions}: "
+                         f"no {' or '.join(empty)} days")
     return DatasetSplit(range(0, first), range(first, second), range(second, length))
 
 
@@ -183,15 +186,18 @@ class NormStats:
     def denormalize_target(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=float) * self.scale[0] + self.location[0]
 
-    def normalize_bundle(self, bundle: SeriesBundle) -> SeriesBundle:
-        if self.n_channels != 1 + bundle.covariates.shape[1]:
+    def normalize_panel(self, panel: np.ndarray) -> np.ndarray:
+        """Z-score a (T, channels) panel: subtract each channel's location,
+        then divide by its scale."""
+        if panel.shape[-1] != self.n_channels:
             raise ValueError(
-                f"stats cover {self.n_channels} channels, bundle has "
-                f"{1 + bundle.covariates.shape[1]}"
+                f"stats cover {self.n_channels} channels, panel has {panel.shape[-1]}"
             )
-        target = (bundle.target - self.location[0]) / self.scale[0]
-        covariates = (bundle.covariates - self.location[1:]) / self.scale[1:]
-        return replace(bundle, target=target, covariates=covariates)
+        return (panel - self.location) / self.scale
+
+    def normalize_bundle(self, bundle: SeriesBundle) -> SeriesBundle:
+        panel = self.normalize_panel(bundle.channel_matrix())
+        return replace(bundle, target=panel[:, 0], covariates=panel[:, 1:])
 
 
 def fit_norm_stats(
@@ -203,7 +209,7 @@ def fit_norm_stats(
             f"series {bundle.id}: split train range ends at {split.train.stop} "
             f"but series has {bundle.length} points"
         )
-    panel = bundle.channel_matrix()[split.train.start : split.train.stop]
+    panel = bundle.channel_matrix(slice(split.train.start, split.train.stop))
     location = panel.mean(axis=0)
     scale = panel.std(axis=0)
     scale[scale == 0.0] = 1.0
@@ -226,21 +232,60 @@ def prepare_bundle(bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
 
 @dataclass(frozen=True)
 class Windows:
-    """Supervised windows stacked along axis 0: past panels (N, tau, 1+M)
-    with the target in column 0, future policies (N, H), future targets
-    (N, H), and each window's origin, the series index of its first label."""
+    """Supervised windows as index views into their series, copied only
+    when gathered.
 
-    past: np.ndarray
-    policies: np.ndarray
-    labels: np.ndarray
+    ``channels`` (L, 1+M) holds the series' channel panels one after another,
+    target in column 0, and ``policy`` (L,) their policy; window n starts at
+    flat row ``starts[n]`` and its first label is local day ``origins[n]``
+    of its own series.  ``past`` (N, tau, 1+M), ``policies`` (N, H) and
+    ``labels`` (N, H) gather C-contiguous arrays on each access;
+    :meth:`take` gathers a batch of rows, so training holds one batch at a
+    time, never every window at once.
+    """
+
+    channels: np.ndarray
+    policy: np.ndarray
+    starts: np.ndarray
     origins: np.ndarray
+    tau: int
+    horizon: int
 
     def __len__(self) -> int:
-        return int(self.origins.shape[0])
+        return int(self.starts.shape[0])
+
+    def _days(self, rows, offset: int, length: int) -> np.ndarray:
+        return self.starts[rows, None] + np.arange(offset, offset + length)
+
+    @property
+    def past(self) -> np.ndarray:
+        return self.channels[self._days(slice(None), 0, self.tau)]
+
+    @property
+    def policies(self) -> np.ndarray:
+        return self.policy[self._days(slice(None), self.tau, self.horizon)]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.channels[self._days(slice(None), self.tau, self.horizon), 0]
+
+    def take(self, rows=slice(None), daily=None):
+        """``(past, policies, labels)`` of windows ``rows``; with ``daily``,
+        an (L,) array of per-day values in place of ``policy``."""
+        future = self._days(rows, self.tau, self.horizon)
+        return (self.channels[self._days(rows, 0, self.tau)],
+                (self.policy if daily is None else daily)[future], self.channels[future, 0])
 
     @classmethod
     def concat(cls, parts) -> "Windows":
-        return cls(*(np.concatenate([getattr(w, f.name) for w in parts]) for f in fields(cls)))
+        """One record over every part's series; each part's starts move by
+        the rows before it, so no window crosses into another series."""
+        offsets = np.cumsum([0] + [w.channels.shape[0] for w in parts[:-1]])
+        return cls(np.concatenate([w.channels for w in parts]),
+                   np.concatenate([w.policy for w in parts]),
+                   np.concatenate([w.starts + o for w, o in zip(parts, offsets)]),
+                   np.concatenate([w.origins for w in parts]),
+                   parts[0].tau, parts[0].horizon)
 
 
 def make_windows(bundle: SeriesBundle, tau: int, horizon: int,
@@ -263,14 +308,8 @@ def make_windows(bundle: SeriesBundle, tau: int, horizon: int,
     if span is not None:
         first, stop = max(first, span.start), min(stop, span.stop - horizon + 1)
     stop = max(first, stop)
-    past = sliding_window_view(bundle.channel_matrix(), tau, axis=0).transpose(0, 2, 1)
-    views = (
-        past[first - tau : stop - tau],
-        sliding_window_view(bundle.policy, horizon)[first:stop],
-        sliding_window_view(bundle.target, horizon)[first:stop],
-        np.arange(first, stop),
-    )
-    return Windows(*(np.array(v, order="C") for v in views))
+    return Windows(bundle.channel_matrix(), np.array(bundle.policy),
+                   np.arange(first - tau, stop - tau), np.arange(first, stop), tau, horizon)
 
 
 def holdout_series(bundles: list[SeriesBundle], held_ids) -> tuple[list, list]:

@@ -382,13 +382,18 @@ def demandnet_eval_bundle(model: ForecasterModel, bundle: SeriesBundle,
     Returns {horizon: per-series metric row}.  Stats come from the model
     when it trained on this series, otherwise they are fitted afresh on the
     bundle's own training fraction (the unseen-series convention).  Policy
-    paths past the series end repeat its last policy.
+    paths past the series end repeat its last policy.  A series with no
+    test origin that a window fits is left unscored ({}), as
+    :func:`classical_eval_bundle` leaves it.
     """
-    split, stats, nb = model.prepare(bundle, cfg.fractions)
+    if bundle.length < model.tau + min(horizons):
+        return {}
+    split, stats = model.norm_for(bundle, cfg.fractions)
+    nb = stats.normalize_bundle(bundle)
     H = model.arch.horizon
     windows = make_windows(nb, model.tau, min(horizons), span=split.test)
     if not len(windows):
-        raise ValueError(f"series {bundle.id}: no valid test origins for h={min(horizons)}")
+        return {}
     origins = windows.origins
     policies = np.pad(bundle.policy, (0, H), "edge")[origins[:, None] + np.arange(H)]
     samples = mc_forecast_batch(model, windows.past, policies, kappa=kappa, seed=seed)

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import NormStats, SeriesBundle, Windows, make_windows, prepare_bundle, split_time
+from .data import (NormStats, SeriesBundle, Windows, fit_norm_stats, make_windows,
+                   prepare_bundle, split_time)
 from .effects import EffectModel, policy_delta
 from .nn.checkpoint import (
     CheckpointError,
@@ -174,9 +175,10 @@ class ForecasterModel:
             add_penalty_grads(self.parameters(), self.lam)
         return value
 
-    def prepare(self, bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
-        """:func:`prepare_bundle` with this model's stored stats when it
-        trained on the series; returns ``(split, stats, normalized bundle)``."""
+    def norm_for(self, bundle: SeriesBundle, fractions=(0.8, 0.1, 0.1)):
+        """``(split, stats)`` for ``bundle``: the stats stored at training
+        when the model trained on the series, else stats fitted on its own
+        training fraction (policy kept raw), as :func:`prepare_bundle` does."""
         if bundle.channel_names() != self.channel_names:
             raise ValueError(
                 f"series {bundle.id} channels {bundle.channel_names()} do not match "
@@ -185,10 +187,11 @@ class ForecasterModel:
         if 1 + bundle.policy_index != self.policy_channel:
             raise ValueError(f"series {bundle.id} has its policy in channel "
                              f"{1 + bundle.policy_index}, the model in {self.policy_channel}")
+        split = split_time(bundle.length, fractions)
         stats = self.norm_stats.get(bundle.id)
         if stats is None:
-            return prepare_bundle(bundle, fractions)
-        return split_time(bundle.length, fractions), stats, stats.normalize_bundle(bundle)
+            stats = fit_norm_stats(bundle, split, identity_channels=(self.policy_channel,))
+        return split, stats
 
     def mean_policy_at(self, origin: int, horizon: int) -> np.ndarray:
         """Cross-series mean training policy path at matching absolute offsets;
@@ -205,8 +208,9 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     """Train on pooled windows from every bundle's training range.
 
     Each bundle is z-scored from its own training range (policy channel kept
-    raw); the policy shift is precomputed per window since it never depends
-    on the forecaster's parameters.  The returned model carries the
+    raw).  The policy shift never depends on the forecaster's parameters, so
+    it is computed once per series-day and gathered with each minibatch, as
+    the windows are (:meth:`Windows.take`).  The returned model carries the
     best-validation parameters, per-series normalization stats, and the mean
     training policy trajectory (for dummy-policy forecasts on unseen series).
     """
@@ -233,7 +237,6 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     if not len(train):
         raise ValueError(f"no training windows: series too short for tau={tau} "
                          f"horizon={arch.horizon}")
-    W_tr, P_tr, Y_tr = train.past, train.policies, train.labels
 
     model = ForecasterModel(
         arch, tau, channel_names, policy_channel, effect_model=effect_model,
@@ -242,10 +245,10 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
     model.norm_stats = norm_stats
     model.mean_policy = policy_sum / policy_count
 
-    delta_tr = model.policy_deltas(P_tr)
+    shift_tr = model.policy_deltas(train.policy)
     # without validation windows the best epoch is picked on the training windows
-    scored = ((val.past, model.policy_deltas(val.policies), val.labels) if len(val)
-              else (W_tr, delta_tr, Y_tr))
+    scored, shift_scored = ((val, model.policy_deltas(val.policy)) if len(val)
+                            else (train, shift_tr))
 
     params = model.parameters()
     widths = (arch.hidden,) * arch.layers
@@ -262,19 +265,18 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
                 )
                 for l, w in enumerate(widths)
             ]
-        return model._loss_with_delta(
-            W_tr[rows], delta_tr[rows], Y_tr[rows], masks=masks, with_grads=True
-        )
+        return model._loss_with_delta(*train.take(rows, shift_tr), masks=masks,
+                                      with_grads=True)
 
     def end_epoch(epoch, mean_batch_loss):
         nonlocal best
         train_history.append(mean_batch_loss)
-        score = model._loss_with_delta(*scored, with_grads=False)
+        score = model._loss_with_delta(*scored.take(daily=shift_scored), with_grads=False)
         val_history.append(score)
         if score < best[1]:
             best = ([p.value.copy() for p in params], score, epoch)
 
-    fit(params, config, "forecaster", W_tr.shape[0], batch_loss, end_epoch)
+    fit(params, config, "forecaster", len(train), batch_loss, end_epoch)
     for p, value in zip(params, best[0]):
         p.value[...] = value
     model.training = ForecasterTraining(
@@ -296,6 +298,39 @@ def _resolve_p(model: ForecasterModel, p) -> float:
     return value
 
 
+def _mc_sample_sets(model: ForecasterModel, windows: np.ndarray, policies: np.ndarray,
+                    kappa: int, rates, seed: int):
+    """Yield :func:`mc_forecast_batch`'s (kappa, N, H) samples at each
+    dropout rate in ``rates``, one rate at a time.  The rates share one
+    uniform block, layer 0's output and the policy shift: pass k's mask at
+    rate p is ``(U[k] >= p) / (1 - p)`` over the same uniforms ``U[k]``."""
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    W = np.asarray(windows, dtype=float)
+    P = np.asarray(policies, dtype=float)
+    if W.ndim != 3:
+        raise ValueError(f"expected (N, tau, C) windows, got shape {W.shape}")
+    if P.shape != (W.shape[0], model.arch.horizon):
+        raise ValueError(f"expected (N, {model.arch.horizon}) policies, got {P.shape}")
+    widths = model.stack.widths
+    U = None
+    first = model.stack.forward_first(model._sequence(W))
+    delta = model.policy_deltas(P)[None, :, :]
+    rows = kappa * W.shape[0]
+    for p in rates:
+        if p > 0.0:
+            if U is None:
+                U = stream_uniforms(seed, "mc-pass", count=kappa, width=sum(widths))
+            block = (U >= p) / (1.0 - p)
+        else:
+            block = np.ones((kappa, sum(widths)))
+        masks = np.split(block, np.cumsum(widths)[:-1], axis=1)
+        top = model.stack.forward_passes(first, masks).reshape(rows, -1)
+        # a lone row runs as two copies, one kept, as in forward_passes
+        base = model.readout.forward(np.repeat(top, 2, axis=0) if rows == 1 else top)[:rows]
+        yield base.reshape(kappa, W.shape[0], -1) + delta
+
+
 def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.ndarray,
                       kappa: int = 100, p: float | None = None, seed: int = 0) -> np.ndarray:
     """(kappa, N, H) adjusted sample paths for N windows in one batched pass.
@@ -309,27 +344,8 @@ def mc_forecast_batch(model: ForecasterModel, windows: np.ndarray, policies: np.
     runs once on the N windows; the layers above run on groups of whole
     passes (:meth:`RecurrentStack.forward_passes`).
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
     p_used = _resolve_p(model, p)
-    W = np.asarray(windows, dtype=float)
-    P = np.asarray(policies, dtype=float)
-    if W.ndim != 3:
-        raise ValueError(f"expected (N, tau, C) windows, got shape {W.shape}")
-    if P.shape != (W.shape[0], model.arch.horizon):
-        raise ValueError(f"expected (N, {model.arch.horizon}) policies, got {P.shape}")
-    widths = model.stack.widths
-    if p_used > 0.0:
-        U = stream_uniforms(seed, "mc-pass", count=kappa, width=sum(widths))
-        block = (U >= p_used) / (1.0 - p_used)
-    else:
-        block = np.ones((kappa, sum(widths)))
-    masks = np.split(block, np.cumsum(widths)[:-1], axis=1)
-    rows = kappa * W.shape[0]
-    top = model.stack.forward_passes(model._sequence(W), masks).reshape(rows, -1)
-    # a lone row runs as two copies, one kept, as in forward_passes
-    base = model.readout.forward(np.repeat(top, 2, axis=0) if rows == 1 else top)[:rows]
-    return base.reshape(kappa, W.shape[0], -1) + model.policy_deltas(P)[None, :, :]
+    return next(_mc_sample_sets(model, windows, policies, kappa, (p_used,), seed))
 
 
 def mc_moments(samples: np.ndarray):
@@ -383,8 +399,8 @@ def optimize_dropout(model: ForecasterModel, windows: np.ndarray, policies: np.n
     if W.shape[0] == 0:
         raise ValueError("no validation windows to score")
     best_p, best_nll = None, np.inf
-    for cand in cands:
-        samples = mc_forecast_batch(model, W, policies, kappa=kappa, p=cand, seed=seed)
+    sets = _mc_sample_sets(model, W, policies, kappa, cands, seed)
+    for cand, samples in zip(cands, sets):
         mean, sd = mc_moments(samples)
         sigma = sd + 1e-6
         nll = float(np.mean(0.5 * np.log(2.0 * np.pi * sigma**2)
@@ -409,7 +425,7 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
     path ("known"), the cross-series mean training trajectory at the same
     calendar offsets ("dummy"), or a caller-supplied schedule ("scheduled").
     """
-    split, _, nb = model.prepare(bundle, fractions)
+    split, stats = model.norm_for(bundle, fractions)
     start = split.test.start if origin is None else int(origin)
     if start < model.tau:
         raise ValueError(f"origin {start} leaves no room for a tau={model.tau} window")
@@ -431,7 +447,7 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
         pol = _as_policy_array(policies, H)
     else:
         raise ValueError(f"unknown policy_mode {policy_mode!r}")
-    window = nb.channel_matrix()[start - model.tau : start]
+    window = stats.normalize_panel(bundle.channel_matrix(slice(start - model.tau, start)))
     return mc_forecast(model, window, pol, kappa=kappa, p=p, seed=seed)
 
 

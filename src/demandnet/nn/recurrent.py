@@ -371,26 +371,34 @@ class RecurrentStack:
                 cur *= mask  # cur is this call's own array; no cache holds it
         return cur
 
-    def forward_passes(self, X: np.ndarray, masks) -> np.ndarray:
+    def forward_first(self, X: np.ndarray) -> np.ndarray:
+        """Layer 0's unmasked output on (T, B, in_dim) inputs, for
+        :meth:`forward_passes`.  Inference only; nothing is cached.  A lone
+        row runs as two copies, one kept: numpy sends a one-row matmul to
+        gemv, which sums in another order than gemm."""
+        B = X.shape[1]
+        return self.layers[0].forward(np.repeat(X, 2, axis=1) if B == 1 else X,
+                                      cache=False)[:, :B]
+
+    def forward_passes(self, first: np.ndarray, masks) -> np.ndarray:
         """The top layer's masked last step under m dropout passes: (m, B, width).
 
-        ``X`` is (T, B, in_dim) and ``masks[l]`` is (m, width of layer l),
-        row j being pass j's mask, shared by the B input rows.  Inference
-        only; nothing is cached.  Layer 0's output does not depend on the
-        masks, so layer 0 runs once on the B rows and each pass's mask
-        multiplies it by broadcasting.  The layers above run on groups of
-        whole passes, at most ``MC_ROWS`` rows at a time (one pass when B is
-        larger), so no layer's output exists for all m passes at once.  A
-        lone row runs as two copies, one kept: numpy sends a one-row matmul
-        to gemv, which sums in another order than gemm.  A row's arithmetic
+        ``first`` is :meth:`forward_first`'s (T, B, width) output and
+        ``masks[l]`` is (m, width of layer l), row j being pass j's mask,
+        shared by the B input rows.  Inference only; nothing is cached.
+        Layer 0's output does not depend on the masks, so it is computed
+        once, by the caller, and each pass's mask multiplies it by
+        broadcasting.  The layers above run on groups of whole passes, at
+        most ``MC_ROWS`` rows at a time (one pass when B is larger), so no
+        layer's output exists for all m passes at once; a group of one row
+        runs as two copies, as in :meth:`forward_first`.  A row's arithmetic
         does not depend on its batch-mates, so the grouping changes no bits.
         """
         if len(masks) != len(self.layers):
             raise ValueError(f"expected {len(self.layers)} masks, got {len(masks)}")
-        T, B, _ = X.shape
+        T, B, _ = first.shape
         m = len(masks[0])
-        first = self.layers[0].forward(np.repeat(X, 2, axis=1) if B == 1 else X, cache=False)
-        first = first[:, None, :B]  # (T, passes, rows, width)
+        first = first[:, None]  # (T, passes, rows, width)
         out = np.empty((m, B, self.widths[-1]))
         step = max(1, MC_ROWS // B)
         for j in range(0, m, step):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SeriesBundle, Windows, check_fractions, make_windows, prepare_bundle
+from .data import (DataError, SeriesBundle, Windows, check_fractions, make_windows,
+                   prepare_bundle, split_time)
 from .effects import EffectModel, train_effect_model
 from .features import CorrelationReport, filter_static
 from .forecaster import ForecasterArch, ForecasterModel, optimize_dropout, train_forecaster
@@ -65,6 +66,29 @@ class PipelineConfig:
     @property
     def model_horizon(self) -> int:
         return self.arch.horizon
+
+
+def check_lengths(bundles: list[SeriesBundle], cfg: PipelineConfig, trained=()) -> None:
+    """Fail before any training with one :class:`DataError` that names the
+    series and its shortfall.  Every series in ``bundles`` must split by
+    ``cfg.fractions``; every series in ``trained`` must hold one window of
+    ``tau`` days plus the model horizon, and some training range one too."""
+    need, what = cfg.tau + cfg.model_horizon, f"tau + horizon = {cfg.tau} + {cfg.model_horizon}"
+    for b in bundles:
+        try:
+            split_time(b.length, cfg.fractions)
+        except ValueError as exc:
+            raise DataError(f"series {b.id}: {exc}") from None
+    for b in trained:
+        if b.length < need:
+            raise DataError(f"series {b.id}: length {b.length} is {need - b.length} days "
+                            f"short of {what}")
+    if trained:
+        days, longest = max((split_time(b.length, cfg.fractions).train.stop, b.id)
+                            for b in trained)
+        if days < need:
+            raise DataError(f"no training window: the longest training range, series "
+                            f"{longest}'s, is {need - days} days short of {what}")
 
 
 def screen_statics(bundles: list[SeriesBundle], cfg: PipelineConfig) -> CorrelationReport | None:
@@ -131,7 +155,7 @@ def pooled_validation_windows(bundles: list[SeriesBundle], cfg: PipelineConfig, 
         split, _, nb = prepare_bundle(bundle, cfg.fractions)
         parts.append(make_windows(nb, cfg.tau, horizon, span=split.validation))
     pooled = Windows.concat(parts)
-    return (pooled.past, pooled.policies, pooled.labels) if len(pooled) else None
+    return pooled.take() if len(pooled) else None
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import shutil
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandnet.cli import COMMANDS, build_parser, main
+from demandnet.data import write_dataset_csv, write_sidecar_csv
 from demandnet.nn.checkpoint import load_checkpoint, save_checkpoint
+
+from conftest import build_bundle
 
 SMALL_RUN = {
     "cell": "gru",
@@ -404,6 +412,62 @@ def test_a_horizon_longer_than_every_test_range_is_one_error_line(synth_dir, tmp
     line = _one_error_line(capsys)
     assert "horizons" in line and "horizon 20" in line
     assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_series_too_short_for_tau_plus_horizon_is_one_error_line(tmp_path, capsys):
+    # the defaults: tau 32, horizons up to 80
+    out = str(tmp_path / "run")
+    assert _run("synth", "--out", out, "--set", "synth.series_count=2",
+                "--set", "synth.length=60") == 0
+    for command in ("train", "evaluate"):
+        capsys.readouterr()
+        assert _run(command, "--out", out) == 2, command
+        line = _one_error_line(capsys)
+        assert "series S00" in line and "52 days short of tau + horizon = 32 + 80" in line
+    assert not os.path.exists(os.path.join(out, "forecaster.npz"))
+
+
+def _ingest_panel(directory, lengths) -> str:
+    """A manifest over one series per length, written through ``ingest``."""
+    bundles = [build_bundle(length=n, series_id=f"T{i}") for i, n in enumerate(lengths)]
+    data, sidecar = os.path.join(directory, "data.csv"), os.path.join(directory, "side.csv")
+    write_dataset_csv(bundles, data)
+    write_sidecar_csv(bundles, sidecar)
+    out = os.path.join(directory, "run")
+    assert _run("ingest", "--out", out, "--set", f"data_csv={data}",
+                "--set", f"sidecar_csv={sidecar}") == 0
+    return out
+
+
+def test_a_three_day_series_is_one_error_line(tmp_path, capsys):
+    out = _ingest_panel(str(tmp_path), [90, 3, 90])
+    for command in ("train-effects", "train", "evaluate"):
+        capsys.readouterr()
+        code = _run(command, "--config", _write_config(tmp_path), "--out", out)
+        assert code == 2, command
+        line = _one_error_line(capsys)
+        assert "series T1: length 3 too short for fractions" in line
+        assert "no validation days" in line
+    assert sorted(os.listdir(out)) == ["config.ingest.json", "manifest.json"]
+
+
+@given(lengths=st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=4),
+       extra=st.sampled_from([(), ("tau=2",), ("horizons=[1,3]",),
+                              ("eval_protocol=unseen", 'held_ids=["T0"]')]))
+@settings(max_examples=20)
+def test_small_panels_train_or_fail_with_one_error_line(lengths, extra):
+    # 1-4 series of 1-120 days: every training command succeeds or gives one
+    # error: line, never a traceback
+    sets = [arg for setting in ("eval_methods=[\"demandnet\",\"ar\"]", *extra)
+            for arg in ("--set", setting)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _ingest_panel(tmp, lengths)
+        for command in ("train-effects", "train", "evaluate"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = _run(command, "--config", _write_config(tmp), "--out", out, *sets)
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert (code, len(errors)) in ((0, 0), (2, 1)), (command, code, errors)
 
 
 def test_evaluate_runs_the_unseen_protocol(synth_dir, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from demandnet.data import (
     DataError,
@@ -16,6 +17,7 @@ from demandnet.data import (
     SeriesBundle,
     STATIC_FEATURE_NAMES,
     SynthConfig,
+    Windows,
     default_policy_schedule,
     fit_norm_stats,
     holdout_series,
@@ -218,6 +220,51 @@ def test_window_span_properties(length, tau, horizon, lo, width):
         np.testing.assert_array_equal(lab, bundle.target[o : o + horizon])
     # no label leaves the span
     assert ((windows.origins >= span.start) & (windows.origins + horizon <= span.stop)).all()
+
+
+def _copied_windows(bundle, tau, horizon, origins):
+    """Every window as its own copy, the way windows were stored before
+    they became index views: past (N, tau, C), policies and labels (N, H)."""
+    first, stop = (origins[0], origins[-1] + 1) if len(origins) else (tau, tau)
+    past = sliding_window_view(bundle.channel_matrix(), tau, axis=0).transpose(0, 2, 1)
+    views = (past[first - tau : stop - tau],
+             sliding_window_view(bundle.policy, horizon)[first:stop],
+             sliding_window_view(bundle.target, horizon)[first:stop])
+    return [np.array(v, order="C") for v in views]
+
+
+@given(
+    series=st.lists(st.tuples(st.integers(min_value=12, max_value=60),
+                              st.integers(min_value=0, max_value=60),
+                              st.integers(min_value=0, max_value=60)),
+                    min_size=1, max_size=4),
+    tau=st.integers(min_value=1, max_value=6),
+    horizon=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_index_windows_gather_the_copied_windows_bitwise(series, tau, horizon, data):
+    rng = np.random.default_rng(len(series))
+    bundles = [build_bundle(length=n, target=rng.normal(size=n), series_id=f"T{i}")
+               for i, (n, _, _) in enumerate(series)]
+    parts = [make_windows(b, tau, horizon, span=range(lo, lo + width))
+             for b, (_, lo, width) in zip(bundles, series)]
+    pooled = Windows.concat(parts)
+    copies = [_copied_windows(b, tau, horizon, w.origins) for b, w in zip(bundles, parts)]
+    expected = [np.concatenate(column) for column in zip(*copies)]
+    assert len(pooled) == len(expected[0])
+    assert pooled.origins.tolist() == [o for w in parts for o in w.origins]
+    rows = np.array(data.draw(st.lists(st.integers(0, max(len(pooled) - 1, 0)),
+                                       max_size=len(pooled) and 8)), dtype=int)
+    for got, want in ((pooled.take(), expected), (pooled.take(rows), [e[rows] for e in expected]),
+                      ((pooled.past, pooled.policies, pooled.labels), expected)):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.flags.c_contiguous
+            assert g.tobytes() == w.tobytes()
+    # each window's days lie inside its own series
+    bounds = np.cumsum([0] + [b.length for b in bundles])
+    owner = np.repeat(np.arange(len(parts)), [len(w) for w in parts])
+    assert (pooled.starts >= bounds[owner]).all()
+    assert (pooled.starts + tau + horizon <= bounds[owner + 1]).all()
 
 
 def test_make_windows_rejects_too_short_series():

@@ -5,6 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from demandnet import forecaster
+from demandnet.data import (
+    NormStats,
+    SynthConfig,
+    Windows,
+    make_windows,
+    prepare_bundle,
+    synth_generate,
+)
 from demandnet.effects import EffectModel, marginal_effect, policy_delta
 from demandnet.forecaster import (
     ForecasterArch,
@@ -13,6 +22,7 @@ from demandnet.forecaster import (
     load_forecaster,
     mc_forecast,
     mc_forecast_batch,
+    mc_moments,
     optimize_dropout,
     save_forecaster,
     train_forecaster,
@@ -318,6 +328,68 @@ def test_dropout_search_picks_candidate_and_stores_it(plain_model):
     assert plain_model.mc_p == best
 
 
+def _nll_pick(model, windows, policies, truths, candidates, kappa, seed):
+    """The rate optimize_dropout picks, scoring each candidate with its own
+    mc_forecast_batch call."""
+    best_p, best_nll = None, np.inf
+    for cand in sorted(candidates):
+        mean, sd = mc_moments(mc_forecast_batch(model, windows, policies, kappa=kappa,
+                                                p=cand, seed=seed))
+        sigma = sd + 1e-6
+        nll = float(np.mean(0.5 * np.log(2.0 * np.pi * sigma**2)
+                            + (truths - mean) ** 2 / (2.0 * sigma**2)))
+        if nll < best_nll:
+            best_p, best_nll = cand, nll
+    return best_p
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dropout_search_draws_one_block_and_runs_layer_zero_once(seed, monkeypatch):
+    model = _untrained_model("gru")
+    rng = stream(seed, "search")
+    windows, policies = rng.normal(size=(3, TAU, 2)), rng.uniform(size=(3, HORIZON))
+    truths = rng.normal(size=(3, HORIZON))
+    candidates = (0.0, 0.05, 0.2, 0.5)
+    expected = _nll_pick(model, windows, policies, truths, candidates, kappa=8, seed=seed)
+    blocks, layer0 = [], []
+    real_uniforms, real_forward = forecaster.stream_uniforms, GRULayer.forward
+    monkeypatch.setattr(forecaster, "stream_uniforms",
+                        lambda *a, **k: blocks.append(1) or real_uniforms(*a, **k))
+    monkeypatch.setattr(GRULayer, "forward", lambda layer, *a, **k: (
+        layer0.append(1) if layer.name == "fore.0" else None) or real_forward(layer, *a, **k))
+    got = optimize_dropout(model, windows, policies, truths, candidates=candidates,
+                           kappa=8, seed=seed)
+    assert (len(blocks), len(layer0)) == (1, 1)
+    assert got == expected == model.mc_p
+
+
+def test_forecast_unseen_normalizes_only_the_window(plain_model, monkeypatch):
+    # a series the model trained on and one it never saw: the window is
+    # bitwise the rows of the whole normalized bundle
+    seen = _training_bundles()[0]
+    unseen = build_bundle(length=100, target=stream(3, "unseen").normal(size=100) + 5.0,
+                          series_id="T9")
+    expected = {
+        seen.id: plain_model.norm_stats[seen.id].normalize_bundle(seen),
+        unseen.id: prepare_bundle(unseen)[2],
+    }
+    windows = []
+    real = forecaster.mc_forecast
+    monkeypatch.setattr(forecaster, "mc_forecast",
+                        lambda model, window, *a, **k: windows.append(window)
+                        or real(model, window, *a, **k))
+
+    def whole_bundle(*args):
+        raise AssertionError("normalized the whole bundle")
+
+    monkeypatch.setattr(NormStats, "normalize_bundle", whole_bundle)
+    for bundle in (seen, unseen):
+        for origin in (TAU, 50, 90):
+            forecast_unseen(plain_model, bundle, origin=origin, kappa=2, p=0.1)
+            want = expected[bundle.id].channel_matrix()[origin - TAU : origin]
+            assert windows[-1].tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------------
 # training
 
@@ -353,6 +425,38 @@ def test_training_rejects_windowless_series():
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.01, epochs=1, batch_size=32)
     with pytest.raises(ValueError, match="no training windows"):
         train_forecaster(bundles, cfg, arch, None, tau=30)
+
+
+def test_the_per_day_policy_shift_gathers_the_windowed_shift_bitwise():
+    model = _untrained_model("lstm")
+    rng = stream(4, "daily-shift")
+    bundles = [build_bundle(length=n, policy=np.round(rng.uniform(size=n), 2),
+                            series_id=f"T{i}") for i, n in enumerate((40, 55, 70))]
+    windows = Windows.concat([make_windows(b, TAU, HORIZON, span=range(5, 60))
+                              for b in bundles])
+    shift = model.policy_deltas(windows.policy)
+    assert shift.shape == windows.policy.shape
+    want = model.policy_deltas(windows.policies)
+    assert windows.take(daily=shift)[1].tobytes() == want.tobytes()
+    rows = np.array([3, 0, 3, len(windows) - 1])
+    assert windows.take(rows, shift)[1].tobytes() == want[rows].tobytes()
+
+
+def test_a_desk_training_epoch_holds_one_batch_of_windows():
+    # every training window stored as its own copy peaked at 30.5 MB here;
+    # gathered per batch, the BPTT cache of one batch dominates (about 10 MB)
+    bundles = synth_generate(SynthConfig(), seed=0)
+    arch = ForecasterArch(cell="gru", hidden=24, layers=2, horizon=80, dropout=0.1)
+    effects = EffectModel(("policy", "cases", "mobility"), widths=(16, 16),
+                          rng=stream(0, "desk-effects"))
+    cfg = TrainConfig(optimizer="adam", learning_rate=1e-3, epochs=1, batch_size=128)
+    tracemalloc.start()
+    try:
+        train_forecaster(bundles, cfg, arch, effects, tau=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, peak
 
 
 def test_training_raises_on_divergence():

@@ -136,7 +136,7 @@ def test_stack_runs_layer_zero_once_for_masks_with_more_rows(kind, rows, monkeyp
     net = RecurrentStack(kind, 2, widths=(6, 4), rng=stream(11, kind), name="s")
     X = stream(11, "x").normal(size=(5, rows, 2))
     masks = [sample_dropout_mask((4, w), 0.3, stream(12, w)) for w in (6, 4)]
-    passes = net.forward_passes(X, masks)
+    passes = net.forward_passes(net.forward_first(X), masks)
     tiled = [np.repeat(mask, rows, axis=0) for mask in masks]
     full = net.forward(np.tile(X, (1, 4, 1)), masks=tiled, cache=True)
     assert np.array_equal(passes.reshape(4 * rows, 4), full[-1])
