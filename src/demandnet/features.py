@@ -232,7 +232,7 @@ class StackedAutoencoder:
                 f"expected (B, {self.tau}, {self.channels}) windows, got {W.shape}"
             )
         H = self.encoder.forward(np.transpose(W, (1, 0, 2)), cache=cache)
-        return self.to_code.forward(H[-1], cache=cache)
+        return self.to_code.forward(H[-1].copy(), cache=cache)
 
     def decode(self, code: np.ndarray, cache: bool = False) -> np.ndarray:
         """(B, bottleneck) codes -> (B, tau, C) reconstructed windows."""
@@ -264,10 +264,7 @@ class StackedAutoencoder:
             _, dstates = self.decoder.backward(dD)
             dexpanded = np.concatenate(dstates, axis=1)
             dcode = self.expand.backward(dexpanded)
-            dh_top = self.to_code.backward(dcode)
-            dH = np.zeros((self.tau, batch.shape[0], self.arch.widths[-1]))
-            dH[-1] = dh_top
-            self.encoder.backward(dH)
+            self.encoder.backward(self.to_code.backward(dcode))
             add_penalty_grads(self.parameters(), self.lam)
         return value
 

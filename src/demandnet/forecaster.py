@@ -142,13 +142,12 @@ class ForecasterModel:
 
     def _forward_base(self, windows: np.ndarray, masks=None, cache: bool = False) -> np.ndarray:
         H = self.stack.forward(self._sequence(windows), masks=masks, cache=cache)
-        return self.readout.forward(H[-1], cache=cache)
+        # the readout caches its own copy of the last step, not a view that
+        # would keep the whole output sequence alive through backward
+        return self.readout.forward(H[-1].copy(), cache=cache)
 
     def _backward_base(self, dbase: np.ndarray):
-        dh = self.readout.backward(dbase)
-        dH = np.zeros((self.tau, dh.shape[0], self.arch.hidden))
-        dH[-1] = dh
-        self.stack.backward(dH)
+        self.stack.backward(self.readout.backward(dbase))
 
     def policy_deltas(self, policies: np.ndarray) -> np.ndarray:
         """Per-step demand shifts, relative to policy 0, for a (..., H) array

@@ -6,12 +6,12 @@ Every cell takes batches only and has one contract:
     backward(dH) -> (dX, dh0)               after forward(cache=True)
 
 ``h0`` is the (B, hidden) initial hidden state, zeros when omitted.
-``backward`` takes the gradient on every output, accumulates the parameter
-gradients, and returns the gradients on the input sequence and on ``h0``.
-The LSTM memory cell always starts at zero and stays internal.  Both also
-take a ``relay``, which only :class:`RecurrentStack`'s wavefront passes: it
-supplies the output array and paces each step against the neighbouring
-layer.
+``backward`` takes the gradient on every output, (T, B, hidden), or on the
+last output alone, (B, hidden); it accumulates the parameter gradients and
+returns the gradients on the input sequence and on ``h0``.  The LSTM memory
+cell always starts at zero and stays internal.  Both also take a ``relay``,
+which only :class:`RecurrentStack`'s wavefront passes: it supplies the
+output array and paces each step against the neighbouring layer.
 
 Gate weights are packed into combined matrices: input weights
 (in_dim, G*hidden) and recurrent weights (hidden, G*hidden), G = 4 for LSTM
@@ -19,11 +19,28 @@ gates [i, f, g, o] and G = 3 for GRU gates [r, z, n].  The GRU candidate
 applies the reset gate to the previous hidden state *before* the recurrent
 matmul, and the update gate blends ``h = (1 - z) * h_prev + z * n`` so
 forcing z = 1 hands the state entirely to the candidate.
+
+A cached forward keeps its input sequence (the LSTM also ``h0``) until
+backward, which releases it, and fills arrays the layer keeps for its next
+forward of the same shape.  They hold only what backward cannot rebuild
+with the same bits:
+
+- LSTM: the gates ``I, F, G, O`` (T, B, hidden) and the cell states ``C``
+  (T+1, B, hidden), ``C[0] = 0``.  Backward recomputes ``tanh(C[t+1])``
+  once per step and carries it down a step, so the previous hidden state
+  ``O[t-1] * tanh(C[t])`` comes from the operations forward used.
+- GRU: the gates ``R, Z``, the candidate ``N`` and the previous hidden
+  states (T, B, hidden).  Backward recomputes the reset product
+  ``r * h_prev``.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import glob
+import os
 import threading
 
 import numpy as np
@@ -39,18 +56,33 @@ def _as_sequence(X: np.ndarray, in_dim: int, name: str) -> np.ndarray:
     return X
 
 
-def _cache_buffers(layer, shape, n: int) -> list[np.ndarray]:
-    """``n`` arrays of ``shape`` for the BPTT cache a forward pass fills.
+def _cache_buffers(layer, shapes) -> list[np.ndarray]:
+    """Arrays of ``shapes`` for the BPTT cache a forward pass fills.
 
-    The layer's last cache is dropped first, so it never holds two and a
-    forward that fails leaves none for ``backward`` to misuse.  Its arrays
-    are reused when their shape matches: every step overwrites them, and
-    reused pages need no fresh faults (the cache is ``(X, *buffers)``).
+    The layer's last cache is dropped first, so a forward that fails leaves
+    none for ``backward`` to misuse.  The arrays stay in ``layer._buffers``
+    and are reused while the shapes match: every step overwrites them, and
+    reused pages need no fresh faults.  Arrays of other shapes are released
+    before new ones are allocated, so a layer never holds two sets.
     """
-    old, layer._cache = layer._cache, None
-    if old is not None and old[1].shape == shape:
-        return list(old[1:])
-    return [np.empty(shape) for _ in range(n)]
+    layer._cache = None
+    if layer._buffers is None or [b.shape for b in layer._buffers] != shapes:
+        layer._buffers = None
+        layer._buffers = [np.empty(shape) for shape in shapes]
+    return layer._buffers
+
+
+def _per_step(dH, T: int):
+    """``dH[t]``, the gradient on output step t, for every t < T.
+
+    A (B, hidden) ``dH`` is the gradient on the last step alone: each earlier
+    step reads one shared zero row, as it would from a full (T, B, hidden)
+    gradient that is zero there, so the sums carry the same bits.
+    """
+    dH = np.asarray(dH, dtype=float)
+    if dH.ndim == 3:
+        return dH
+    return [np.zeros_like(dH)] * (T - 1) + [dH]
 
 
 class LSTMLayer:
@@ -64,7 +96,7 @@ class LSTMLayer:
         self.Wx = Parameter(f"{name}.Wx", glorot_uniform(rng, in_dim, hidden, (in_dim, 4 * hidden)))
         self.Wh = Parameter(f"{name}.Wh", glorot_uniform(rng, hidden, hidden, (hidden, 4 * hidden)))
         self.b = Parameter(f"{name}.b", np.zeros(4 * hidden), penalized=False)
-        self._cache = None
+        self._cache = self._buffers = None
 
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh, self.b]
@@ -73,11 +105,14 @@ class LSTMLayer:
         X = _as_sequence(X, self.in_dim, self.name)
         T, B, _ = X.shape
         k = self.hidden
-        h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
-        c = np.zeros((B, k))
+        h = h0 = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
         H = np.empty((T, B, k)) if relay is None else relay.out
         if cache:
-            I, F, G, O, TC, Hprev, Cprev = _cache_buffers(self, (T, B, k), 7)
+            I, F, G, O, C = _cache_buffers(self, [(T, B, k)] * 4 + [(T + 1, B, k)])
+            c = C[0]
+            c[...] = 0.0
+        else:
+            c = np.zeros((B, k))
         for t in range(T):
             if relay is not None:
                 relay.wait()
@@ -86,52 +121,55 @@ class LSTMLayer:
             i, f = i_f[:, :k], i_f[:, k:]
             g = np.tanh(z[:, 2 * k : 3 * k])
             o = sigmoid(z[:, 3 * k :])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
+            c = np.add(f * c, i * g, out=C[t + 1] if cache else None)
             if cache:
-                I[t], F[t], G[t], O[t], TC[t] = i, f, g, o, tc
-                Hprev[t], Cprev[t] = h, c
-            c = c_new
-            h = o * tc
+                I[t], F[t], G[t], O[t] = i, f, g, o
+            h = o * np.tanh(c)
             H[t] = h
             if relay is not None:
                 relay.post(t)
         if cache:
-            self._cache = (X, I, F, G, O, TC, Hprev, Cprev)
+            self._cache = (X, h0)
         return H
 
     def backward(self, dH: np.ndarray, relay=None):
         """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
-        X, I, F, G, O, TC, Hprev, Cprev = self._cache
+        X, h0 = self._cache
+        I, F, G, O, C = self._buffers
         T, B, _ = X.shape
-        dH = np.asarray(dH, dtype=float)
+        dH = _per_step(dH, T)
         dX = np.empty_like(X) if relay is None else relay.out
         dh_next = np.zeros((B, self.hidden))
         dc_next = np.zeros((B, self.hidden))
+        tc = np.tanh(C[T])
         for t in range(T - 1, -1, -1):
             if relay is not None:
                 relay.wait()
             dh = dH[t] + dh_next
-            i, f, g, o, tc = I[t], F[t], G[t], O[t], TC[t]
+            i, f, g, o = I[t], F[t], G[t], O[t]
+            tc_prev = np.tanh(C[t]) if t else None
+            h_prev = O[t - 1] * tc_prev if t else h0
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
             di = dc * g
-            df = dc * Cprev[t]
+            df = dc * C[t]
             dg = dc * i
             dz = np.concatenate(
                 [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
                 axis=1,
             )
             self.Wx.grad += X[t].T @ dz
-            self.Wh.grad += Hprev[t].T @ dz
+            self.Wh.grad += h_prev.T @ dz
             self.b.grad += dz.sum(axis=0)
             dX[t] = dz @ self.Wx.value.T
             if relay is not None:
                 relay.post(t)
             dh_next = dz @ self.Wh.value.T
             dc_next = dc * f
+            tc = tc_prev
+        self._cache = None
         return dX, dh_next
 
 
@@ -147,7 +185,7 @@ class GRULayer:
         self.Wh_rz = Parameter(f"{name}.Wh_rz", glorot_uniform(rng, hidden, hidden, (hidden, 2 * hidden)))
         self.Wh_n = Parameter(f"{name}.Wh_n", glorot_uniform(rng, hidden, hidden, (hidden, hidden)))
         self.b = Parameter(f"{name}.b", np.zeros(3 * hidden), penalized=False)
-        self._cache = None
+        self._cache = self._buffers = None
 
     def parameters(self) -> list[Parameter]:
         return [self.Wx, self.Wh_rz, self.Wh_n, self.b]
@@ -159,45 +197,45 @@ class GRULayer:
         h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=float)
         H = np.empty((T, B, k)) if relay is None else relay.out
         if cache:
-            R, Z, N, Q, Hprev = _cache_buffers(self, (T, B, k), 5)
+            R, Z, N, Hprev = _cache_buffers(self, [(T, B, k)] * 4)
         for t in range(T):
             if relay is not None:
                 relay.wait()
             gx = X[t] @ self.Wx.value + self.b.value
             rz = sigmoid(gx[:, : 2 * k] + h @ self.Wh_rz.value)
             r, z = rz[:, :k], rz[:, k:]
-            q = r * h
-            n = np.tanh(gx[:, 2 * k :] + q @ self.Wh_n.value)
+            n = np.tanh(gx[:, 2 * k :] + (r * h) @ self.Wh_n.value)
             if cache:
-                R[t], Z[t], N[t], Q[t], Hprev[t] = r, z, n, q, h
+                R[t], Z[t], N[t], Hprev[t] = r, z, n, h
             h = (1.0 - z) * h + z * n
             H[t] = h
             if relay is not None:
                 relay.post(t)
         if cache:
-            self._cache = (X, R, Z, N, Q, Hprev)
+            self._cache = X
         return H
 
     def backward(self, dH: np.ndarray, relay=None):
         """BPTT over the cached forward; returns (dX, dh0)."""
         if self._cache is None:
             raise RuntimeError("forward(cache=True) must run before backward")
-        X, R, Z, N, Q, Hprev = self._cache
+        X = self._cache
+        R, Z, N, Hprev = self._buffers
         T, B, _ = X.shape
-        dH = np.asarray(dH, dtype=float)
+        dH = _per_step(dH, T)
         dX = np.empty_like(X) if relay is None else relay.out
         dh_next = np.zeros((B, self.hidden))
         for t in range(T - 1, -1, -1):
             if relay is not None:
                 relay.wait()
             dh = dH[t] + dh_next
-            r, z, n, q, h_prev = R[t], Z[t], N[t], Q[t], Hprev[t]
+            r, z, n, h_prev = R[t], Z[t], N[t], Hprev[t]
             dz_gate = dh * (n - h_prev)
             dn = dh * z
             dh_prev = dh * (1.0 - z)
             dnpre = dn * (1.0 - n * n)
             dq = dnpre @ self.Wh_n.value.T
-            self.Wh_n.grad += q.T @ dnpre
+            self.Wh_n.grad += (r * h_prev).T @ dnpre
             dh_prev += dq * r
             dr = dq * h_prev
             drpre = dr * r * (1.0 - r)
@@ -212,6 +250,7 @@ class GRULayer:
             if relay is not None:
                 relay.post(t)
             dh_next = dh_prev
+        self._cache = None
         return dX, dh_next
 
 
@@ -275,6 +314,23 @@ class _Relay:
         self.ready.release(len(self.out))
 
 
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of the OpenBLAS bundled with numpy,
+    or None when numpy links another BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def _wavefront(run_layer, outs, out_masks, backward: bool):
     """Run ``run_layer(l, relay)`` for every layer l at once, the top layer in
     the caller and each other layer on a worker thread; returns the results.
@@ -284,7 +340,23 @@ def _wavefront(run_layer, outs, out_masks, backward: bool):
     raised is the one the sequential schedule, layer by layer, would raise.
     Workers run in a copy of the caller's context, so numpy error states
     such as :func:`~demandnet.nn.optim.fit`'s hold there too.
+
+    The layers' threads take the cores a threaded BLAS would, so a bundled
+    OpenBLAS running more than one thread is held at one for the pass and
+    restored after it, also when it fails.  The setting is process-wide.
     """
+    blas = _openblas()
+    threads = blas[0]() if blas is not None else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        return _run_wavefront(run_layer, outs, out_masks, backward)
+    finally:
+        if threads > 1:
+            blas[1](threads)
+
+
+def _run_wavefront(run_layer, outs, out_masks, backward: bool):
     L = len(outs)
     relays, source = [None] * L, None
     for l in (range(L - 1, -1, -1) if backward else range(L)):
@@ -340,7 +412,7 @@ class RecurrentStack:
         for l, w in enumerate(self.widths):
             self.layers.append(make_cell(kind, prev, w, rng=rng, name=f"{name}.{l}"))
             prev = w
-        self._masks = None
+        self._masks = self._steps = None
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -353,7 +425,8 @@ class RecurrentStack:
             raise ValueError("one initial state per layer required")
         masks = masks if masks is not None else [None] * len(self.layers)
         states = initial_states if initial_states is not None else [None] * len(self.layers)
-        self._masks = masks if cache else None
+        if cache:
+            self._masks, self._steps = masks, len(X)
         if cache and self._pipelined():
             T, B = X.shape[:2]
             outs = [np.empty((T, B, w)) for w in self.widths]
@@ -416,14 +489,20 @@ class RecurrentStack:
         return len(self.layers) > 1 and min(self.widths) >= WAVEFRONT_MIN_WIDTH
 
     def backward(self, dOut: np.ndarray):
-        """Backpropagate through every layer; returns (dX, [dh0 per layer])."""
+        """Backpropagate through every layer; returns (dX, [dh0 per layer]).
+
+        ``dOut`` is the gradient on every output step, (T, B, width), or on
+        the last step alone, (B, width), as a readout of the last step
+        passes it.  The caller's array is never written to.
+        """
+        if self._steps is None:
+            raise RuntimeError("forward(cache=True) must run before backward")
         d = np.asarray(dOut, dtype=float)
-        masks = self._masks if self._masks is not None else [None] * len(self.layers)
+        masks = self._masks
+        if masks[-1] is not None:
+            d = d * masks[-1]
         if self._pipelined():
-            if masks[-1] is not None:
-                d = d * masks[-1]
-            T, B = d.shape[:2]
-            outs = [np.empty((T, B, layer.in_dim)) for layer in self.layers]
+            outs = [np.empty((self._steps, d.shape[-2], layer.in_dim)) for layer in self.layers]
 
             def run_layer(l, relay):
                 source = d if l == len(self.layers) - 1 else outs[l + 1]
@@ -433,7 +512,7 @@ class RecurrentStack:
             return outs[0], d_initial
         d_initial = [None] * len(self.layers)
         for l in range(len(self.layers) - 1, -1, -1):
-            if masks[l] is not None:
-                d = d * masks[l]
             d, d_initial[l] = self.layers[l].backward(d)
+            if l and masks[l - 1] is not None:
+                d *= masks[l - 1]  # d is layer l's own new array
         return d, d_initial

@@ -37,21 +37,18 @@ COMMANDS = ("synth", "select-features", "train-effects", "effects-curve", "train
             "forecast", "evaluate")
 
 # runs the chain, then prints the thread count the bundled OpenBLAS reports
-# (-1 when numpy links another BLAS)
+# (-1 when numpy links another BLAS): a wavefront pass holds it at one and
+# restores it, so it reads the requested count
 DRIVER = """
-import ctypes, glob, os, sys
-import numpy as np
+import sys
 from demandnet.cli import main
+from demandnet.nn.recurrent import _openblas
 config, out = sys.argv[1:3]
 for command in sys.argv[3:]:
     if main([command, "--config", config, "--out", out]) != 0:
         sys.exit(f"{command} failed")
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                              "libscipy_openblas64_*"))
-if libs:
-    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-print(get() if libs else -1)
+blas = _openblas()
+print(blas[0]() if blas else -1)
 """
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from demandnet.nn import recurrent
+from demandnet.nn.activations import sigmoid
 from demandnet.nn.layers import sample_dropout_mask
 from demandnet.nn.optim import DivergenceError, TrainConfig, fit
 from demandnet.nn.recurrent import GRULayer, LSTMLayer, RecurrentStack, make_cell
@@ -158,7 +161,7 @@ def test_a_second_cached_forward_holds_one_cache(kind):
     T, B, k = 50, 16, 16
     layer = make_cell(kind, 3, k, rng=stream(30, kind))
     first, second = (stream(31, i).normal(size=(T, B, 3)) for i in range(2))
-    cache_bytes = (7 if kind == "lstm" else 5) * T * B * k * 8
+    cache_bytes = (5 * T + 1 if kind == "lstm" else 4 * T) * B * k * 8
     tracemalloc.start()
     try:
         layer.forward(first, cache=True)
@@ -177,6 +180,222 @@ def test_a_second_cached_forward_holds_one_cache(kind):
         assert np.array_equal(a, b)
     for p, q in zip(layer.parameters(), fresh.parameters()):
         assert np.array_equal(p.grad, q.grad)
+
+
+@pytest.mark.parametrize("kind, shapes", [
+    ("lstm", [(6, 4, 5)] * 4 + [(7, 4, 5)]),
+    ("gru", [(6, 4, 5)] * 4),
+])
+def test_cache_arrays_are_kept_for_the_same_shape_and_replaced_for_another(kind, shapes):
+    layer = make_cell(kind, 3, 5, rng=stream(35, kind))
+    H = layer.forward(stream(36, 0).normal(size=(6, 4, 3)), cache=True)
+    first = [a.ctypes.data for a in layer._buffers]
+    assert [a.shape for a in layer._buffers] == shapes
+    layer.backward(H)
+    assert layer._cache is None  # backward releases the input; the arrays stay
+    layer.forward(stream(36, 1).normal(size=(6, 4, 3)), cache=True)
+    assert [a.ctypes.data for a in layer._buffers] == first
+    layer.forward(stream(36, 2).normal(size=(6, 2, 3)), cache=True)
+    assert [a.shape for a in layer._buffers] == [(T, 2, k) for T, _, k in shapes]
+
+
+# Traced peak of one 2x128 LSTM batch at T = 32, B = 128 (forward with dropout
+# masks, backward from the last step, as the forecaster trains), from a fresh
+# stack: 54.8 MB; 80.7 MB when each cell cached seven arrays, the caller kept a
+# view of the last step and its gradient entered as a zero (T, B, 128) array.
+PUBLISHED_BATCH_PEAK_MB = 64
+
+
+def test_a_published_scale_lstm_batch_stays_under_its_memory_bound():
+    T, B, k = 32, 128, 128
+    net = RecurrentStack("lstm", 6, (k, k), rng=stream(37, "peak"), name="p")
+    X = stream(38, "x").normal(size=(T, B, 6))
+    masks = [sample_dropout_mask((B, k), 0.1, stream(39, l)) for l in range(2)]
+    d_last = stream(40, "d").normal(size=(B, k))
+    tracemalloc.start()
+    try:
+        top = net.forward(X, masks=masks, cache=True)[-1].copy()
+        net.backward(d_last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert top.shape == (B, k)
+    assert peak < PUBLISHED_BATCH_PEAK_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ----------------------------------------------------------------------------
+# the slim caches against the full ones: the cells as they were when each
+# cached every intermediate (LSTM: I, F, G, O, tanh(c), h_prev, c_prev; GRU:
+# R, Z, N, r * h_prev, h_prev), kept here as an oracle for the same bits
+
+def _full_cache_forward(layer, X, h0):
+    T, B, _ = X.shape
+    k = layer.hidden
+    h = np.zeros((B, k)) if h0 is None else h0
+    H = np.empty((T, B, k))
+    if isinstance(layer, LSTMLayer):
+        c = np.zeros((B, k))
+        I, F, G, O, TC, Hprev, Cprev = (np.empty((T, B, k)) for _ in range(7))
+        for t in range(T):
+            z = X[t] @ layer.Wx.value + h @ layer.Wh.value + layer.b.value
+            i_f = sigmoid(z[:, : 2 * k])
+            i, f = i_f[:, :k], i_f[:, k:]
+            g = np.tanh(z[:, 2 * k : 3 * k])
+            o = sigmoid(z[:, 3 * k :])
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            I[t], F[t], G[t], O[t], TC[t] = i, f, g, o, tc
+            Hprev[t], Cprev[t] = h, c
+            c = c_new
+            h = o * tc
+            H[t] = h
+        return H, (X, I, F, G, O, TC, Hprev, Cprev)
+    R, Z, N, Q, Hprev = (np.empty((T, B, k)) for _ in range(5))
+    for t in range(T):
+        gx = X[t] @ layer.Wx.value + layer.b.value
+        rz = sigmoid(gx[:, : 2 * k] + h @ layer.Wh_rz.value)
+        r, z = rz[:, :k], rz[:, k:]
+        q = r * h
+        n = np.tanh(gx[:, 2 * k :] + q @ layer.Wh_n.value)
+        R[t], Z[t], N[t], Q[t], Hprev[t] = r, z, n, q, h
+        h = (1.0 - z) * h + z * n
+        H[t] = h
+    return H, (X, R, Z, N, Q, Hprev)
+
+
+def _full_cache_backward(layer, cache, dH, grads):
+    """BPTT over ``_full_cache_forward``'s cache, adding into ``grads`` (by name)."""
+    T, B, _ = cache[0].shape
+    dX = np.empty_like(cache[0])
+    dh_next = np.zeros((B, layer.hidden))
+    if isinstance(layer, LSTMLayer):
+        X, I, F, G, O, TC, Hprev, Cprev = cache
+        dc_next = np.zeros((B, layer.hidden))
+        for t in range(T - 1, -1, -1):
+            dh = dH[t] + dh_next
+            i, f, g, o, tc = I[t], F[t], G[t], O[t], TC[t]
+            do = dh * tc
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            di = dc * g
+            df = dc * Cprev[t]
+            dg = dc * i
+            dz = np.concatenate(
+                [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
+                axis=1,
+            )
+            grads[layer.Wx.name] += X[t].T @ dz
+            grads[layer.Wh.name] += Hprev[t].T @ dz
+            grads[layer.b.name] += dz.sum(axis=0)
+            dX[t] = dz @ layer.Wx.value.T
+            dh_next = dz @ layer.Wh.value.T
+            dc_next = dc * f
+        return dX, dh_next
+    X, R, Z, N, Q, Hprev = cache
+    for t in range(T - 1, -1, -1):
+        dh = dH[t] + dh_next
+        r, z, n, q, h_prev = R[t], Z[t], N[t], Q[t], Hprev[t]
+        dz_gate = dh * (n - h_prev)
+        dn = dh * z
+        dh_prev = dh * (1.0 - z)
+        dnpre = dn * (1.0 - n * n)
+        dq = dnpre @ layer.Wh_n.value.T
+        grads[layer.Wh_n.name] += q.T @ dnpre
+        dh_prev += dq * r
+        dr = dq * h_prev
+        drpre = dr * r * (1.0 - r)
+        dzpre = dz_gate * z * (1.0 - z)
+        drz = np.concatenate([drpre, dzpre], axis=1)
+        dh_prev += drz @ layer.Wh_rz.value.T
+        grads[layer.Wh_rz.name] += h_prev.T @ drz
+        dgx = np.concatenate([drpre, dzpre, dnpre], axis=1)
+        grads[layer.Wx.name] += X[t].T @ dgx
+        grads[layer.b.name] += dgx.sum(axis=0)
+        dX[t] = dgx @ layer.Wx.value.T
+        dh_next = dh_prev
+    return dX, dh_next
+
+
+def _full_cache_stack(net, X, masks, states, dOut):
+    """[H, dX, *dh0, *parameter gradients] of one pass, layer by layer, with
+    the full caches; a (B, width) ``dOut`` is the last step's gradient."""
+    L = len(net.layers)
+    masks, states = masks or [None] * L, states or [None] * L
+    caches, cur = [], X
+    for layer, mask, h0 in zip(net.layers, masks, states):
+        cur, cache = _full_cache_forward(layer, cur, h0)
+        if mask is not None:
+            cur = cur * mask
+        caches.append(cache)
+    if dOut.ndim == 2:
+        dOut, last = np.zeros(cur.shape), dOut
+        dOut[-1] = last
+    grads = {p.name: np.zeros_like(p.value) for p in net.parameters()}
+    d, dh0 = dOut, [None] * L
+    for l in range(L - 1, -1, -1):
+        if masks[l] is not None:
+            d = d * masks[l]
+        d, dh0[l] = _full_cache_backward(net.layers[l], caches[l], d, grads)
+    return [cur, d, *dh0, *(grads[p.name] for p in net.parameters())]
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("T", [1, 2, 24])
+@pytest.mark.parametrize("B", [1, 7, 128])
+def test_the_slim_caches_give_the_full_caches_bits(monkeypatch, kind, T, B):
+    widths = (5, 4)
+    for seeded_states, masked, wavefront, last_step in itertools.product((False, True), repeat=4):
+        passes = _wavefront_at(monkeypatch, 1 if wavefront else 10**9)
+        net = RecurrentStack(kind, 3, widths, rng=stream(41, kind), name="o")
+        # two batches through one stack: the second reuses the first's cache arrays
+        for batch in range(2):
+            seed = (T, B, seeded_states, masked, wavefront, last_step, batch)
+            X = stream(42, *seed).normal(size=(T, B, 3))
+            masks = states = None
+            if masked:
+                masks = [sample_dropout_mask((B, w), 0.3, stream(43, l, *seed))
+                         for l, w in enumerate(widths)]
+            if seeded_states:
+                states = [stream(44, l, *seed).normal(size=(B, w)) for l, w in enumerate(widths)]
+            dOut = stream(45, *seed).normal(size=(B, 4) if last_step else (T, B, 4))
+            expected = _full_cache_stack(net, X, masks, states, dOut)
+            for p in net.parameters():
+                p.zero_grad()
+            H = net.forward(X, masks=masks, initial_states=states, cache=True)
+            dX, dh0 = net.backward(dOut)
+            got = [H, dX, *dh0, *(p.grad for p in net.parameters())]
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+        assert len(passes) == (4 if wavefront else 0)
+
+
+@pytest.mark.parametrize("wavefront", [False, True])
+@pytest.mark.parametrize("last_step", [False, True])
+def test_stack_backward_never_writes_into_the_callers_gradient(monkeypatch, wavefront, last_step):
+    _wavefront_at(monkeypatch, 1 if wavefront else 10**9)
+    T, B = 6, 5
+    net = RecurrentStack("lstm", 3, (4, 3), rng=stream(46, "ro"), name="r")
+    masks = [sample_dropout_mask((B, w), 0.5, stream(47, w)) for w in (4, 3)]
+    net.forward(stream(48, "x").normal(size=(T, B, 3)), masks=masks, cache=True)
+    dOut = stream(49, "d").normal(size=(B, 3) if last_step else (T, B, 3))
+    kept = dOut.copy()
+    net.backward(dOut)
+    assert np.array_equal(dOut, kept)
+
+
+def test_an_uncached_forward_before_backward_changes_no_gradient():
+    def grads(interleave):
+        net = RecurrentStack("gru", 2, (4, 3), rng=stream(52, "u"), name="u")
+        X = stream(53, "x").normal(size=(5, 3, 2))
+        masks = [sample_dropout_mask((3, w), 0.5, stream(54, w)) for w in (4, 3)]
+        H = net.forward(X, masks=masks, cache=True)
+        if interleave:
+            net.forward(X[:, :2], cache=False)
+        net.backward(np.ones_like(H))
+        return [p.grad for p in net.parameters()]
+
+    for a, b in zip(grads(False), grads(True)):
+        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------------
@@ -295,6 +514,44 @@ def test_a_failing_layer_reaches_the_caller_and_leaves_no_thread(monkeypatch, wh
     assert not runner.is_alive(), "a wavefront hand-off blocked forever"
     assert raised == ["failed at step 4"]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", [None, "layer 0 forward", "top layer backward"])
+def test_a_wavefront_pass_holds_the_blas_at_one_thread_and_restores_it(monkeypatch, where):
+    blas = recurrent._openblas()
+    if blas is None:
+        pytest.skip("numpy links no bundled OpenBLAS")
+    get, set_threads = blas
+    before = get()
+    set_threads(2)
+    try:
+        assert get() == 2
+        _wavefront_at(monkeypatch, 1)
+        net = RecurrentStack("lstm", 3, (4, 3), rng=stream(50, "blas"), name="b")
+        X = stream(51, "x").normal(size=(5, 4, 3))
+        seen, top = [], net.layers[-1]
+
+        def counting(method):
+            def run(*args, **kwargs):
+                seen.append(get())
+                return method(*args, **kwargs)
+            return run
+
+        top.forward, top.backward = counting(top.forward), counting(top.backward)
+        if where == "layer 0 forward":
+            net.layers[0].forward = _failing_at(net.layers[0].forward, 2)
+            with pytest.raises(_Injected):
+                net.forward(X, cache=True)
+        else:
+            H = net.forward(X, cache=True)
+            if where == "top layer backward":
+                top.backward = _failing_at(top.backward, 2)
+            with pytest.raises(_Injected) if where else contextlib.nullcontext():
+                net.backward(H)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        set_threads(before)
 
 
 def test_fit_reports_an_overflow_in_a_worker_like_the_sequential_path(monkeypatch):
