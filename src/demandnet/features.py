@@ -311,8 +311,9 @@ def train_autoencoder(windows, config: TrainConfig, arch: SaeArch,
         val_history.append(model.reconstruction_mse(val_w))
         return val_history[-1] <= threshold
 
-    fit(model.parameters(), config, "sae", train_idx.size,
-        lambda rows, epoch, step: model.loss(train_w[rows], with_grads=True), end_epoch)
+    with model.encoder.wavefront(), model.decoder.wavefront():
+        fit(model.parameters(), config, "sae", train_idx.size,
+            lambda rows, epoch, step: model.loss(train_w[rows], with_grads=True), end_epoch)
     model.training = SaeTraining(
         train_history=tuple(train_history),
         val_history=tuple(val_history),

@@ -275,7 +275,8 @@ def train_forecaster(bundles: list[SeriesBundle], config: TrainConfig,
         if score < best[1]:
             best = ([p.value.copy() for p in params], score, epoch)
 
-    fit(params, config, "forecaster", len(train), batch_loss, end_epoch)
+    with model.stack.wavefront():
+        fit(params, config, "forecaster", len(train), batch_loss, end_epoch)
     for p, value in zip(params, best[0]):
         p.value[...] = value
     model.training = ForecasterTraining(

@@ -13,6 +13,12 @@ cell always starts at zero and stays internal.  Both also take a ``relay``,
 which only :class:`RecurrentStack`'s wavefront passes: it supplies the
 output array and paces each step against the neighbouring layer.
 
+Training runs a stack of two or more layers as that wavefront, inside
+:meth:`RecurrentStack.wavefront`: a forked worker process runs every layer
+below the top and hands each step to the top layer, in the calling
+process, through shared memory.  :class:`RecurrentStack` and its
+``wavefront`` describe the gate, the failure rules and the BLAS hold.
+
 Gate weights are packed into combined matrices: input weights
 (in_dim, G*hidden) and recurrent weights (hidden, G*hidden), G = 4 for LSTM
 gates [i, f, g, o] and G = 3 for GRU gates [r, z, n].  The GRU candidate
@@ -36,12 +42,18 @@ with the same bits:
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import ctypes
 import functools
+import gc
 import glob
+import math
+import mmap
+import multiprocessing
 import os
-import threading
+import pickle
+import signal
+import time
 
 import numpy as np
 
@@ -256,19 +268,18 @@ class GRULayer:
 
 CELL_KINDS = {"lstm": LSTMLayer, "gru": GRULayer}
 
-# A stack whose layers are all at least this wide runs as a wavefront; see
-# RecurrentStack.  A hand-off costs the same however small a step is:
-# measured forward + backward over 32 steps at one BLAS thread, the
-# wavefront wins from width 48 at batch 128, from 96 at batch 64, and
-# breaks even at 96 to 128 at batch 32.
-WAVEFRONT_MIN_WIDTH = 96
-
 # RecurrentStack.forward_passes runs the layers above layer 0 on at most
 # this many rows at a time, which bounds the memory a call touches.  On 41
 # windows x 100 passes through a 2x24 GRU at one BLAS thread, groups of 192
 # to 512 rows ran within noise of each other, 128 rows ran 10% slower, and
 # 1024 rows up to one ungrouped batch 17-53% slower.
 MC_ROWS = 512
+
+# While a wavefront worker and its caller wait for each other, each checks
+# this often (seconds) that the other is still there; the caller gives up on
+# a worker that has not answered for _PATIENCE_S.
+_POLL_S = 0.1
+_PATIENCE_S = 60.0
 
 
 def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
@@ -287,31 +298,24 @@ class _Relay:
     """One layer's place in a wavefront pass.
 
     The layer writes its output steps into ``out``.  ``wait()`` runs before
-    each step reads its input and blocks until ``source``, the layer that
-    produces that input, has handed the step over; ``post(t)`` masks step t
-    of ``out`` and hands it on.  ``ready`` counts the steps handed on.
+    each step reads its input and calls ``take``, if given, which blocks
+    until the layer that produces that input has handed the step over;
+    ``post(t)`` masks step t of ``out`` and calls ``give``, if given, to hand
+    it on.
     """
 
-    def __init__(self, out, mask, source):
-        self.out, self.mask, self.source = out, mask, source
-        self.ready = threading.Semaphore(0)
-        self.broken = False
+    def __init__(self, out, mask=None, take=None, give=None):
+        self.out, self.mask, self.take, self.give = out, mask, take, give
 
     def wait(self):
-        if self.source is not None:
-            self.source.ready.acquire()
-            if self.source.broken:
-                raise _Aborted
+        if self.take is not None:
+            self.take()
 
     def post(self, t: int):
         if self.mask is not None:
             self.out[t] *= self.mask
-        self.ready.release()
-
-    def stop(self):
-        """Wake the consumer for every step it may still wait on; it aborts."""
-        self.broken = True
-        self.ready.release(len(self.out))
+        if self.give is not None:
+            self.give()
 
 
 @functools.cache
@@ -331,59 +335,326 @@ def _openblas():
     return get, set_
 
 
-def _wavefront(run_layer, outs, out_masks, backward: bool):
-    """Run ``run_layer(l, relay)`` for every layer l at once, the top layer in
-    the caller and each other layer on a worker thread; returns the results.
-
-    Forward, layer l consumes layer l-1's steps; backward, layer l+1's.  A
-    failed layer stops its consumers, never its producers, so the error
-    raised is the one the sequential schedule, layer by layer, would raise.
-    Workers run in a copy of the caller's context, so numpy error states
-    such as :func:`~demandnet.nn.optim.fit`'s hold there too.
-
-    The layers' threads take the cores a threaded BLAS would, so a bundled
-    OpenBLAS running more than one thread is held at one for the pass and
-    restored after it, also when it fails.  The setting is process-wide.
-    """
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the bundled OpenBLAS at one thread in the block and restore its
+    count after it, also when the block fails.  The setting is process-wide."""
     blas = _openblas()
     threads = blas[0]() if blas is not None else 1
     if threads > 1:
         blas[1](1)
     try:
-        return _run_wavefront(run_layer, outs, out_masks, backward)
+        yield
     finally:
         if threads > 1:
             blas[1](threads)
 
 
-def _run_wavefront(run_layer, outs, out_masks, backward: bool):
-    L = len(outs)
-    relays, source = [None] * L, None
-    for l in (range(L - 1, -1, -1) if backward else range(L)):
-        relays[l] = source = _Relay(outs[l], out_masks[l], source)
-    results, errors = [None] * L, [None] * L
+def _forks_a_worker(stack) -> bool:
+    """The wavefront's gate: two or more layers, two or more usable CPUs and
+    the ``fork`` start method."""
+    return (len(stack.layers) > 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and "fork" in multiprocessing.get_all_start_methods())
 
-    def run(l):
-        try:
-            results[l] = run_layer(l, relays[l])
-        except BaseException as exc:  # re-raised by the caller below
-            relays[l].stop()
-            if not isinstance(exc, _Aborted):
-                errors[l] = exc
 
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, l),
-                                name=f"wavefront-{l}") for l in range(L - 1)]
-    for worker in workers:
-        worker.start()
+class _Link:
+    """What a stack's top layer, in the caller, shares with the worker that
+    runs the layers below it, for passes of up to ``T`` steps of ``B`` rows.
+
+    The arrays live in one anonymous shared mapping made before the fork:
+    the input ``x`` and its gradient ``dx``; each lower layer's mask
+    ``mask{l}``, initial state ``h0{l}`` and its gradient ``dh0{l}``; each
+    lower parameter's ``value{i}`` and ``grad{i}``; the worker's masked
+    output ``out`` and the top layer's masked gradient ``dout`` on it.
+    ``ahead`` counts the forward steps the worker has handed over, ``back``
+    the backward steps the caller has.  A producer that fails raises
+    ``broken`` and releases its consumer, which aborts.
+    """
+
+    def __init__(self, layers, T: int, B: int):
+        ctx = multiprocessing.get_context("fork")
+        lower = layers[:-1]
+        self.capacity = (T, B)
+        self.params = [p for layer in lower for p in layer.parameters()]
+        sizes = {"x": T * B * lower[0].in_dim, "dx": T * B * lower[0].in_dim,
+                 "out": T * B * lower[-1].hidden, "dout": T * B * lower[-1].hidden,
+                 "broken": 1}
+        for l, layer in enumerate(lower):
+            for name in ("mask", "h0", "dh0"):
+                sizes[f"{name}{l}"] = B * layer.hidden
+        for i, p in enumerate(self.params):
+            sizes[f"value{i}"] = sizes[f"grad{i}"] = p.value.size
+        padded = [-(-n // 8) * 8 for n in sizes.values()]  # each starts on 64 bytes
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(padded)), dtype=float)
+        starts = np.cumsum([0, *padded])
+        self.flat = {name: flat[s : s + n] for (name, n), s in zip(sizes.items(), starts)}
+        self.ahead, self.back = ctx.Semaphore(0), ctx.Semaphore(0)
+        self.check = None  # set on each side of the fork: raises when the other is gone
+
+    def view(self, name: str, *shape) -> np.ndarray:
+        return self.flat[name][: math.prod(shape)].reshape(shape)
+
+    def param(self, kind: str, i: int) -> np.ndarray:
+        return self.view(f"{kind}{i}", *self.params[i].value.shape)
+
+    def load_rows(self, name: str, lower, arrays, B: int) -> list[bool]:
+        """Copy each lower layer's (B, width) array, where it has one, in;
+        returns which layers have one."""
+        present = [a is not None for a in arrays[: len(lower)]]
+        for l, (layer, a) in enumerate(zip(lower, arrays)):
+            if a is not None:
+                self.view(f"{name}{l}", B, layer.hidden)[...] = a
+        return present
+
+    def rows(self, name: str, lower, present, B: int) -> list:
+        return [self.view(f"{name}{l}", B, layer.hidden) if on else None
+                for l, (layer, on) in enumerate(zip(lower, present))]
+
+    def take(self, steps):
+        """Wait for the producer's next step on ``steps``; raises _Aborted
+        when the producer failed."""
+        since = None
+        while not steps.acquire(timeout=_POLL_S):
+            since = since or time.monotonic()
+            self.check(since)
+        if self.flat["broken"][0]:
+            raise _Aborted
+
+    def stop(self, steps, T: int):
+        """Wake the consumer for every step it may still wait on; it aborts."""
+        self.flat["broken"][0] = 1.0
+        for _ in range(T):
+            steps.release()
+
+
+def _drain(steps):
+    while steps.acquire(False):
+        pass
+
+
+def _lower_forward(lower, link: _Link, T: int, B: int, masked, seeded):
+    """The worker's forward: the layers below the top, one after another,
+    the last handing each masked step to the top layer as it is written."""
+    masks, states = link.rows("mask", lower, masked, B), link.rows("h0", lower, seeded, B)
+    relay = _Relay(link.view("out", T, B, lower[-1].hidden), masks[-1],
+                   give=link.ahead.release)
     try:
-        run(L - 1)
-    finally:
-        for worker in workers:
-            worker.join()
-    failed = [exc for exc in errors if exc is not None]
-    if failed:
-        raise failed[-1] if backward else failed[0]
-    return results
+        cur = link.view("x", T, B, lower[0].in_dim)
+        for l, layer in enumerate(lower):
+            last = l == len(lower) - 1
+            cur = layer.forward(cur, h0=states[l], cache=True, relay=relay if last else None)
+            if not last and masks[l] is not None:
+                cur *= masks[l]
+    except BaseException:
+        link.stop(link.ahead, T)
+        raise
+
+
+def _lower_backward(lower, link: _Link, T: int, B: int, masked, seeded):
+    """The worker's backward: the highest lower layer takes each step of the
+    top layer's masked dX as it is handed over, then each layer below runs."""
+    masks = link.rows("mask", lower, masked, B)
+    relay = _Relay(np.empty((T, B, lower[-1].in_dim)), take=functools.partial(link.take, link.back))
+    d = link.view("dout", T, B, lower[-1].hidden)
+    for l in range(len(lower) - 1, -1, -1):
+        d, dh0 = lower[l].backward(d, relay=relay if l == len(lower) - 1 else None)
+        link.view(f"dh0{l}", B, lower[l].hidden)[...] = dh0
+        if l and masks[l - 1] is not None:
+            d *= masks[l - 1]
+    link.view("dx", T, B, lower[0].in_dim)[...] = d
+
+
+def _serve(lower, link: _Link, conn, theirs, parent: int):
+    """The worker's loop: run each pass of the ``lower`` layers the caller
+    asks for and answer None, or the pass's exception; end on None, on a
+    closed pipe or when the caller is gone."""
+    theirs.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+    gc.freeze()  # collections here then leave the memory shared with the caller alone
+    blas = _openblas()
+    if blas is not None:
+        blas[1](1)
+    for i, p in enumerate(link.params):
+        p.value, p.grad = link.param("value", i), link.param("grad", i)
+
+    def check(since):
+        if os.getppid() != parent:
+            raise SystemExit(1)
+
+    link.check = check
+    passes = {"forward": _lower_forward, "backward": _lower_backward}
+    while True:
+        try:
+            while not conn.poll(_POLL_S):
+                check(None)
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        kind, T, B, masked, seeded, errstate = request
+        try:
+            with np.errstate(**errstate):
+                passes[kind](lower, link, T, B, masked, seeded)
+            reply = None
+        except _Aborted:  # the top layer failed; the caller raises its error
+            reply = None
+        except Exception as exc:
+            reply = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                reply = RuntimeError(f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class _Worker:
+    """The forked process that runs a stack's layers below the top inside
+    :meth:`RecurrentStack.wavefront`.  It starts at the first cached forward
+    and again when a pass needs more steps or rows than its link holds or
+    the last one broke off."""
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.link = self.proc = self.conn = None
+        self.busy = False  # a request is out and its answer is not read
+        self.lost = None  # why the worker stopped answering
+
+    def _ready(self, T: int, B: int) -> _Link:
+        link, proc = self.link, self.proc
+        if (proc is None or self.busy or proc.exitcode is not None
+                or T > link.capacity[0] or B > link.capacity[1]):
+            T0, B0 = link.capacity if link is not None else (0, 0)
+            self.close()
+            self.link = link = _Link(self.stack.layers, max(T, T0), max(B, B0))
+            ctx = multiprocessing.get_context("fork")
+            self.conn, theirs = ctx.Pipe()
+            self.proc = ctx.Process(target=_serve, name="wavefront", daemon=True,
+                                    args=(self.stack.layers[:-1], link, theirs, self.conn,
+                                          os.getpid()))
+            self.proc.start()
+            theirs.close()
+            link.check, self.lost = self._check, None
+        return link
+
+    def _check(self, since: float):
+        """Raise one RuntimeError when the worker has ended or has not
+        answered for ``_PATIENCE_S`` since ``since``; otherwise return."""
+        proc = self.proc
+        if self.lost is None:
+            if proc.exitcode is None and time.monotonic() - since < _PATIENCE_S:
+                return
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+                self.lost = f"wavefront worker {proc.pid} did not answer for {_PATIENCE_S:g} s"
+            else:
+                self.lost = f"wavefront worker {proc.pid} ended with exit code {proc.exitcode}"
+        self.busy = True
+        raise RuntimeError(self.lost)
+
+    def _send(self, request):
+        self.link.flat["broken"][0] = 0.0
+        self.busy = True
+        try:
+            self.conn.send(request)
+        except OSError:
+            self.proc.join(1.0)
+            self._check(-math.inf)
+
+    def _reply(self):
+        since = None
+        try:
+            while not self.conn.poll(_POLL_S):
+                since = since or time.monotonic()
+                self._check(since)
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.proc.join(1.0)
+            self._check(-math.inf)
+        self.busy = False
+        return reply
+
+    def forward(self, X, masks, states) -> np.ndarray:
+        """The stack's cached forward over (T, B, in_dim) ``X``."""
+        lower, top = self.stack.layers[:-1], self.stack.layers[-1]
+        T, B = X.shape[:2]
+        link = self._ready(T, B)
+        link.view("x", T, B, X.shape[2])[...] = X
+        masked = link.load_rows("mask", lower, masks, B)
+        seeded = link.load_rows("h0", lower, states, B)
+        for i, p in enumerate(link.params):
+            link.param("value", i)[...] = p.value
+        self._send(("forward", T, B, masked, seeded, np.geterr()))
+        H = np.empty((T, B, top.hidden))
+        relay = _Relay(H, masks[-1], take=functools.partial(link.take, link.ahead))
+        error = None
+        try:
+            top.forward(link.view("out", T, B, top.in_dim), h0=states[-1], cache=True,
+                        relay=relay)
+        except _Aborted:
+            pass
+        except BaseException as exc:  # raised below, unless a lower layer failed
+            error = exc
+        failed = self._reply()
+        _drain(link.ahead)
+        if failed is not None:
+            raise failed
+        if error is not None:
+            raise error
+        return H
+
+    def backward(self, d, T: int, masks):
+        """The stack's backward from the top layer's masked output gradient."""
+        if self.proc is None or self.busy:
+            raise RuntimeError("forward(cache=True) must run before backward")
+        lower, top, link = self.stack.layers[:-1], self.stack.layers[-1], self.link
+        B = d.shape[-2]
+        for i, p in enumerate(link.params):
+            link.param("value", i)[...] = p.value
+            link.param("grad", i)[...] = p.grad
+        self._send(("backward", T, B, [m is not None for m in masks[:-1]], None, np.geterr()))
+        relay = _Relay(link.view("dout", T, B, top.in_dim), masks[-2], give=link.back.release)
+        error = None
+        try:
+            dh_top = top.backward(d, relay=relay)[1]
+        except BaseException as exc:  # raised below, before any lower layer's
+            link.stop(link.back, T)
+            error = exc
+        failed = self._reply()
+        _drain(link.back)
+        if error is not None:
+            raise error
+        if failed is not None:
+            raise failed
+        for i, p in enumerate(link.params):
+            p.grad[...] = link.param("grad", i)
+        dh0 = [link.view(f"dh0{l}", B, layer.hidden).copy() for l, layer in enumerate(lower)]
+        return link.view("dx", T, B, lower[0].in_dim).copy(), dh0 + [dh_top]
+
+    def close(self):
+        """End the worker: ask it to stop, and kill it if it is mid-pass or
+        does not stop."""
+        proc = self.proc
+        if proc is None:
+            return
+        if not self.busy and proc.exitcode is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            proc.join(5.0)
+        if proc.exitcode is None:
+            proc.kill()
+        proc.join()
+        proc.close()
+        self.conn.close()
+        self.link.check = None  # the link's shared memory goes with the last view of it
+        self.link = self.proc = self.conn = None
 
 
 class RecurrentStack:
@@ -393,14 +664,17 @@ class RecurrentStack:
     Monte-Carlo dropout convention; they multiply each layer's output
     sequence before it feeds the next layer (or the readout).
 
-    A stack of two or more layers, all at least ``WAVEFRONT_MIN_WIDTH``
-    wide, runs its cached forward and its backward as a wavefront over
-    (time, layer): layer l+1 needs only step t of layer l to run its step t,
-    so each layer runs its own loop on its own thread and hands each step
-    on as soon as it is written.  Each loop does the same operations in the
-    same order as when the layers run one after another, so every output
-    and gradient is bitwise the same.  Below that width the hand-offs cost
-    more than the overlap saves, and the layers run one after another.
+    Inside :meth:`wavefront`, a stack of two or more layers runs its cached
+    forward and its backward as a wavefront over (time, layer): layer l+1
+    needs only step t of layer l to run its step t.  A forked worker process
+    runs every layer below the top, the caller runs the top layer, and the
+    steps between them cross through shared memory one at a time, paced by
+    process semaphores, so the two run on two cores.  The worker runs the
+    operations of the layer-by-layer schedule in the same order, on the
+    caller's parameters, copied in before each pass (the gradients are
+    copied back after backward), so every output and gradient is bitwise
+    the same.  Inference, Monte-Carlo passes, ``cache=False`` forwards and
+    one-layer stacks run layer by layer in the caller.
     """
 
     def __init__(self, kind: str, in_dim: int, widths, rng, name: str = "stack"):
@@ -412,10 +686,38 @@ class RecurrentStack:
         for l, w in enumerate(self.widths):
             self.layers.append(make_cell(kind, prev, w, rng=rng, name=f"{name}.{l}"))
             prev = w
-        self._masks = self._steps = None
+        self._masks = self._steps = self._worker = None
+        self._remote = False  # the last cached forward ran through the worker
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
+
+    @contextlib.contextmanager
+    def wavefront(self):
+        """Run the stack's cached forwards and backwards in the block as a
+        wavefront, when the gate allows: two or more layers, two or more
+        usable CPUs (``os.sched_getaffinity``) and the ``fork`` start method.
+
+        The worker is forked at the first cached forward and joined when
+        the block exits, also on error.  A failed layer stops the layers
+        that consume its steps, never the ones that feed it, so the error
+        raised is the one the layer-by-layer schedule would raise; the
+        worker's comes back pickled, and it runs under the caller's numpy
+        error state.  A worker that dies or stops answering raises one
+        RuntimeError, and a worker whose caller dies ends itself.  The
+        worker holds its bundled OpenBLAS at one thread, and the caller
+        holds its own at one thread through the block.
+        """
+        if self._worker is not None or not _forks_a_worker(self):
+            yield
+            return
+        self._worker = _Worker(self)
+        try:
+            with _one_blas_thread():
+                yield
+        finally:
+            worker, self._worker, self._remote = self._worker, None, False
+            worker.close()
 
     def forward(self, X: np.ndarray, masks=None, initial_states=None, cache: bool = True):
         """Run the full stack; returns the (masked) top-layer sequence."""
@@ -427,16 +729,10 @@ class RecurrentStack:
         states = initial_states if initial_states is not None else [None] * len(self.layers)
         if cache:
             self._masks, self._steps = masks, len(X)
-        if cache and self._pipelined():
-            T, B = X.shape[:2]
-            outs = [np.empty((T, B, w)) for w in self.widths]
-
-            def run_layer(l, relay):
-                source = X if l == 0 else outs[l - 1]
-                return self.layers[l].forward(source, h0=states[l], cache=True, relay=relay)
-
-            _wavefront(run_layer, outs, masks, backward=False)
-            return outs[-1]
+            self._remote = self._worker is not None
+            if self._remote:
+                X = _as_sequence(X, self.layers[0].in_dim, self.layers[0].name)
+                return self._worker.forward(X, masks, states)
         cur = X
         for layer, h0, mask in zip(self.layers, states, masks):
             cur = layer.forward(cur, h0=h0, cache=cache)
@@ -485,9 +781,6 @@ class RecurrentStack:
             out[group] = (H[-1] * masks[-1][group, None, :])[:, :B]
         return out
 
-    def _pipelined(self) -> bool:
-        return len(self.layers) > 1 and min(self.widths) >= WAVEFRONT_MIN_WIDTH
-
     def backward(self, dOut: np.ndarray):
         """Backpropagate through every layer; returns (dX, [dh0 per layer]).
 
@@ -501,15 +794,8 @@ class RecurrentStack:
         masks = self._masks
         if masks[-1] is not None:
             d = d * masks[-1]
-        if self._pipelined():
-            outs = [np.empty((self._steps, d.shape[-2], layer.in_dim)) for layer in self.layers]
-
-            def run_layer(l, relay):
-                source = d if l == len(self.layers) - 1 else outs[l + 1]
-                return self.layers[l].backward(source, relay=relay)[1]
-
-            d_initial = _wavefront(run_layer, outs, [None, *masks[:-1]], backward=True)
-            return outs[0], d_initial
+        if self._remote:
+            return self._worker.backward(d, self._steps, masks)
         d_initial = [None] * len(self.layers)
         for l in range(len(self.layers) - 1, -1, -1):
             d, d_initial[l] = self.layers[l].backward(d)

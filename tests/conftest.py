@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from demandnet.data import SeriesBundle
+from demandnet.nn import recurrent
 
 settings.register_profile(
     "suite",
@@ -41,3 +44,21 @@ def build_bundle(length=60, policy=None, target=None, series_id="T0", statics=No
 @pytest.fixture
 def tiny_bundle():
     return build_bundle()
+
+
+def usable_cpus(monkeypatch, n):
+    """Report ``n`` usable CPUs to the wavefront's gate."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def worker_passes(monkeypatch):
+    """Report two usable CPUs, so that the wavefront forks a worker on any
+    machine, and return the list of the passes ("forward" or "backward")
+    that then run through a worker."""
+    usable_cpus(monkeypatch, 2)
+    passes = []
+    for name in ("forward", "backward"):
+        run = getattr(recurrent._Worker, name)
+        monkeypatch.setattr(recurrent._Worker, name,
+                            lambda self, *a, _n=name, _run=run: passes.append(_n) or _run(self, *a))
+    return passes

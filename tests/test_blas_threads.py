@@ -3,8 +3,8 @@
 A BLAS may split a matrix product over threads and sum in another order,
 so this runs a small chain twice, in fresh processes, at
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  The stack is two layers of 96
-units, so training runs as the wavefront and its products are large enough
-for OpenBLAS to use both threads.
+units, so training runs as the wavefront, with a forked worker, and its
+products are large enough for OpenBLAS to use both threads.
 """
 
 import json
@@ -37,8 +37,8 @@ COMMANDS = ("synth", "select-features", "train-effects", "effects-curve", "train
             "forecast", "evaluate")
 
 # runs the chain, then prints the thread count the bundled OpenBLAS reports
-# (-1 when numpy links another BLAS): a wavefront pass holds it at one and
-# restores it, so it reads the requested count
+# (-1 when numpy links another BLAS): training holds it at one and restores
+# it, so it reads the requested count
 DRIVER = """
 import sys
 from demandnet.cli import main

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,10 +16,11 @@ from demandnet.features import (
     spearman,
     train_autoencoder,
 )
+from demandnet.nn import recurrent
 from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.rngs import stream
 from gradcheck import grad_check
-from tests.conftest import build_bundle
+from tests.conftest import build_bundle, usable_cpus
 
 
 # ----------------------------------------------------------------------------
@@ -280,6 +283,28 @@ def test_autoencoder_gradients_match_finite_differences(cell):
     model = StackedAutoencoder(channels=2, tau=5, arch=arch, rng=rng, lam=0.01)
     batch = rng.normal(size=(3, 5, 2))
     assert grad_check(model, batch, rng=rng) <= 1e-5
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_wavefront_training_gives_the_autoencoders_sequential_bits(monkeypatch, cell):
+    # the decoder's worker takes initial states from the code; the encoder's none
+    W = _window_array()
+    tc = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=3, batch_size=64, seed=0)
+    seeded, forward = [], recurrent._Worker.forward
+    monkeypatch.setattr(recurrent._Worker, "forward", lambda self, X, masks, states: (
+        seeded.append(states[0] is not None) or forward(self, X, masks, states)))
+    trained = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        model = train_autoencoder(W, tc, SaeArch(widths=(6, 5), bottleneck=3, cell=cell),
+                                  threshold_ratio=1e-9)
+        trained.append([model.training, *(p.value for p in model.parameters())])
+        assert bool(seeded) == (cpus == 2)
+    assert set(seeded) == {False, True}
+    assert multiprocessing.active_children() == []
+    assert trained[0][0] == trained[1][0]
+    for a, b in zip(trained[0][1:], trained[1][1:]):
+        assert np.array_equal(a, b)
 
 
 def test_autoencoder_needs_two_windows():

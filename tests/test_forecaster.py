@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.nn.recurrent import GRULayer
 from demandnet.rngs import stream
 
-from conftest import build_bundle
+from conftest import build_bundle, usable_cpus, worker_passes
 from gradcheck import grad_check
 
 TAU = 8
@@ -468,12 +469,12 @@ def test_training_raises_on_divergence():
 def test_wavefront_training_gives_the_sequential_parameters(monkeypatch):
     arch = ForecasterArch(cell="lstm", hidden=8, layers=2, horizon=HORIZON,
                           dropout=0.1, use_policy_skip=False)
-    hashes, passes, run = [], [], recurrent._wavefront
-    monkeypatch.setattr(recurrent, "_wavefront", lambda *a, **k: passes.append(1) or run(*a, **k))
-    for width in (10**9, 1):
-        monkeypatch.setattr(recurrent, "WAVEFRONT_MIN_WIDTH", width)
+    hashes, passes = [], worker_passes(monkeypatch)
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
         hashes.append(_train(arch=arch, epochs=2).param_hash())
-    assert passes  # the second run trained through the wavefront
+        assert bool(passes) == (cpus == 2)  # the second run trained through a worker
+    assert multiprocessing.active_children() == []
     assert hashes[0] == hashes[1]
 
 

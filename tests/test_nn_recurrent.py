@@ -1,8 +1,14 @@
 import contextlib
 import itertools
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from demandnet.nn.optim import DivergenceError, TrainConfig, fit
 from demandnet.nn.recurrent import GRULayer, LSTMLayer, RecurrentStack, make_cell
 from demandnet.rngs import stream
 
+from conftest import usable_cpus, worker_passes
 from gradcheck import SequenceProbe, grad_check
 
 
@@ -343,43 +350,48 @@ def _full_cache_stack(net, X, masks, states, dOut):
 @pytest.mark.parametrize("B", [1, 7, 128])
 def test_the_slim_caches_give_the_full_caches_bits(monkeypatch, kind, T, B):
     widths = (5, 4)
+    passes = worker_passes(monkeypatch)
     for seeded_states, masked, wavefront, last_step in itertools.product((False, True), repeat=4):
-        passes = _wavefront_at(monkeypatch, 1 if wavefront else 10**9)
+        passes.clear()
         net = RecurrentStack(kind, 3, widths, rng=stream(41, kind), name="o")
         # two batches through one stack: the second reuses the first's cache arrays
-        for batch in range(2):
-            seed = (T, B, seeded_states, masked, wavefront, last_step, batch)
-            X = stream(42, *seed).normal(size=(T, B, 3))
-            masks = states = None
-            if masked:
-                masks = [sample_dropout_mask((B, w), 0.3, stream(43, l, *seed))
-                         for l, w in enumerate(widths)]
-            if seeded_states:
-                states = [stream(44, l, *seed).normal(size=(B, w)) for l, w in enumerate(widths)]
-            dOut = stream(45, *seed).normal(size=(B, 4) if last_step else (T, B, 4))
-            expected = _full_cache_stack(net, X, masks, states, dOut)
-            for p in net.parameters():
-                p.zero_grad()
-            H = net.forward(X, masks=masks, initial_states=states, cache=True)
-            dX, dh0 = net.backward(dOut)
-            got = [H, dX, *dh0, *(p.grad for p in net.parameters())]
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a, b)
+        with _scope(net, wavefront):
+            for batch in range(2):
+                seed = (T, B, seeded_states, masked, wavefront, last_step, batch)
+                X = stream(42, *seed).normal(size=(T, B, 3))
+                masks = states = None
+                if masked:
+                    masks = [sample_dropout_mask((B, w), 0.3, stream(43, l, *seed))
+                             for l, w in enumerate(widths)]
+                if seeded_states:
+                    states = [stream(44, l, *seed).normal(size=(B, w))
+                              for l, w in enumerate(widths)]
+                dOut = stream(45, *seed).normal(size=(B, 4) if last_step else (T, B, 4))
+                expected = _full_cache_stack(net, X, masks, states, dOut)
+                for p in net.parameters():
+                    p.zero_grad()
+                H = net.forward(X, masks=masks, initial_states=states, cache=True)
+                dX, dh0 = net.backward(dOut)
+                got = [H, dX, *dh0, *(p.grad for p in net.parameters())]
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
         assert len(passes) == (4 if wavefront else 0)
 
 
 @pytest.mark.parametrize("wavefront", [False, True])
 @pytest.mark.parametrize("last_step", [False, True])
 def test_stack_backward_never_writes_into_the_callers_gradient(monkeypatch, wavefront, last_step):
-    _wavefront_at(monkeypatch, 1 if wavefront else 10**9)
+    passes = worker_passes(monkeypatch)
     T, B = 6, 5
     net = RecurrentStack("lstm", 3, (4, 3), rng=stream(46, "ro"), name="r")
     masks = [sample_dropout_mask((B, w), 0.5, stream(47, w)) for w in (4, 3)]
-    net.forward(stream(48, "x").normal(size=(T, B, 3)), masks=masks, cache=True)
     dOut = stream(49, "d").normal(size=(B, 3) if last_step else (T, B, 3))
     kept = dOut.copy()
-    net.backward(dOut)
+    with _scope(net, wavefront):
+        net.forward(stream(48, "x").normal(size=(T, B, 3)), masks=masks, cache=True)
+        net.backward(dOut)
+    assert len(passes) == (2 if wavefront else 0)
     assert np.array_equal(dOut, kept)
 
 
@@ -399,17 +411,13 @@ def test_an_uncached_forward_before_backward_changes_no_gradient():
 
 
 # ----------------------------------------------------------------------------
-# the wavefront schedule (forced onto small shapes by lowering the width gate)
+# the wavefront: the layers below the top in a forked worker process
 
-def _wavefront_at(monkeypatch, width):
-    """Set the width gate and count the wavefront passes that follow."""
-    monkeypatch.setattr(recurrent, "WAVEFRONT_MIN_WIDTH", width)
-    passes, run = [], recurrent._wavefront
-    monkeypatch.setattr(recurrent, "_wavefront", lambda *a, **k: passes.append(1) or run(*a, **k))
-    return passes
+def _scope(net, wavefront: bool):
+    return net.wavefront() if wavefront else contextlib.nullcontext()
 
 
-def _stack_pass(kind, widths, masked, seeded_states):
+def _stack_pass(kind, widths, masked, seeded_states, wavefront):
     T, B, in_dim = 7, 5, 3
     net = RecurrentStack(kind, in_dim, widths, rng=stream(21, kind), name="w")
     X = stream(22, "x").normal(size=(T, B, in_dim))
@@ -418,8 +426,9 @@ def _stack_pass(kind, widths, masked, seeded_states):
         masks = [sample_dropout_mask((B, w), 0.3, stream(23, l)) for l, w in enumerate(widths)]
     if seeded_states:
         states = [stream(24, l).normal(size=(B, w)) for l, w in enumerate(widths)]
-    H = net.forward(X, masks=masks, initial_states=states, cache=True)
-    dX, dh0 = net.backward(stream(25, "dH").normal(size=H.shape))
+    with _scope(net, wavefront):
+        H = net.forward(X, masks=masks, initial_states=states, cache=True)
+        dX, dh0 = net.backward(stream(25, "dH").normal(size=H.shape))
     return [H, dX, *dh0, *(p.grad for p in net.parameters())]
 
 
@@ -428,82 +437,127 @@ def _stack_pass(kind, widths, masked, seeded_states):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("seeded_states", [False, True])
 def test_wavefront_gives_the_sequential_bits(monkeypatch, kind, widths, masked, seeded_states):
-    assert not _wavefront_at(monkeypatch, 10**9)
-    sequential = _stack_pass(kind, widths, masked, seeded_states)
-    passes = _wavefront_at(monkeypatch, 1)
-    pipelined = _stack_pass(kind, widths, masked, seeded_states)
-    assert len(passes) == 2  # forward and backward
+    passes = worker_passes(monkeypatch)
+    sequential = _stack_pass(kind, widths, masked, seeded_states, wavefront=False)
+    assert not passes
+    pipelined = _stack_pass(kind, widths, masked, seeded_states, wavefront=True)
+    assert passes == ["forward", "backward"]
     assert len(pipelined) == len(sequential)
     for a, b in zip(sequential, pipelined):
         assert np.array_equal(a, b)
 
 
-def test_wavefront_bits_hold_under_frequent_thread_switches(monkeypatch):
-    # three threads on fewer cores, switching as often as the interpreter allows
-    _wavefront_at(monkeypatch, 10**9)
-    expected = _stack_pass("gru", (4, 5, 3), True, True)
-    _wavefront_at(monkeypatch, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_wavefront_bits_hold_when_both_processes_share_one_core(monkeypatch):
+    # every hand-off then switches processes on the one core
+    passes = worker_passes(monkeypatch)
+    expected = _stack_pass("gru", (4, 5, 3), True, True, wavefront=False)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
     try:
-        runs = [_stack_pass("gru", (4, 5, 3), True, True) for _ in range(20)]
+        runs = [_stack_pass("gru", (4, 5, 3), True, True, wavefront=True) for _ in range(20)]
     finally:
-        sys.setswitchinterval(interval)
+        os.sched_setaffinity(0, cpus)
+    assert len(passes) == 40
     for got in runs:
         for a, b in zip(expected, got):
             assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("widths, pipelined", [
-    ((24, 24), False), ((48, 48), False), ((128,), False), ((96, 128), True),
+    ((24,), False), ((96,), False), ((128,), False), ((24, 24), True),
 ])
 def test_only_wide_stacks_of_two_or_more_layers_pipeline(monkeypatch, widths, pipelined):
-    passes = _wavefront_at(monkeypatch, recurrent.WAVEFRONT_MIN_WIDTH)
+    # the name dates from a width gate, which is gone: inside the scope the
+    # layer count decides, so a one-layer stack runs layer by layer at any
+    # width and a narrow two-layer stack pipelines
+    passes = worker_passes(monkeypatch)
     net = RecurrentStack("gru", 2, widths, rng=stream(33, "gate"), name="g")
     X = stream(34, "x").normal(size=(2, 2, 2))
-    net.forward(X, cache=False)
-    assert not passes  # inference passes always run layer by layer
-    net.backward(net.forward(X, cache=True))
+    with net.wavefront():
+        net.forward(X, cache=False)
+        assert not passes  # inference passes always run layer by layer
+        net.backward(net.forward(X, cache=True))
     assert len(passes) == (2 if pipelined else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("widths, cpus, method, forks", [
+    ((24, 24), 2, "fork", True), ((4, 5, 3), 2, "fork", True),
+    ((24, 24), 1, "fork", False), ((24, 24), 2, "spawn", False),
+], ids=["two layers", "three layers", "one cpu", "no fork"])
+def test_the_worker_runs_in_the_scope_for_two_layers_on_two_cpus_with_fork(
+        monkeypatch, widths, cpus, method, forks):
+    passes = worker_passes(monkeypatch)
+    usable_cpus(monkeypatch, cpus)
+    if method != "fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
+    net = RecurrentStack("gru", 2, widths, rng=stream(33, "gate"), name="g")
+    X = stream(34, "x").normal(size=(3, 2, 2))
+    net.backward(net.forward(X, cache=True))
+    assert not passes  # outside the scope
+    with net.wavefront():
+        net.forward(X, cache=False)
+        net.forward_passes(net.forward_first(X), [np.ones((4, w)) for w in widths])
+        assert not passes  # inference runs layer by layer
+        net.backward(net.forward(X, cache=True))
+    assert passes == (["forward", "backward"] if forks else [])
+    assert multiprocessing.active_children() == []
 
 
 class _Injected(RuntimeError):
     pass
 
 
-def _failing_at(method, step):
-    """``method`` (a layer's forward or backward) raising as it reaches ``step``'s hand-off."""
-    def failing(seq, *args, relay, **kwargs):
+def _failing_at(layer, method: str, step: int):
+    """Make ``layer``'s ``method`` ("forward" or "backward") raise as it
+    reaches ``step``'s hand-off.  A layer run without a relay gets one that
+    only holds its output, so it fails at the same point."""
+    run = getattr(layer, method)
+
+    def failing(seq, *args, relay=None, **kwargs):
+        if relay is None:
+            dim = layer.in_dim if method == "backward" else layer.hidden
+            relay = recurrent._Relay(np.empty((*seq.shape[:2], dim)))
         post = relay.post
 
         def post_or_fail(t):
             if t == step:
-                raise _Injected(f"failed at step {t}")
+                raise _Injected(f"{layer.name} {method} failed at step {t}")
             post(t)
 
         relay.post = post_or_fail
-        return method(seq, *args, relay=relay, **kwargs)
+        return run(seq, *args, relay=relay, **kwargs)
 
-    return failing
+    setattr(layer, method, failing)
 
 
-@pytest.mark.parametrize("where", ["layer 0 forward", "top layer backward"])
+# where -> (widths, the failing pass, {layer: the step it fails at}, the layer
+# whose error the layer-by-layer schedule raises)
+FAILURES = {
+    "layer 0 forward": ((4, 5, 3), "forward", {0: 4}, 0),
+    "top layer forward": ((4, 5, 3), "forward", {2: 4}, 2),
+    "layer 0 backward": ((4, 5, 3), "backward", {0: 4}, 0),
+    "top layer backward": ((4, 5, 3), "backward", {2: 4}, 2),
+    "both forward": ((4, 3), "forward", {0: 6, 1: 2}, 0),
+    "both backward": ((4, 3), "backward", {0: 7, 1: 6}, 1),
+}
+
+
+@pytest.mark.parametrize("where", list(FAILURES))
 def test_a_failing_layer_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
-    _wavefront_at(monkeypatch, 1)
-    net = RecurrentStack("lstm", 3, (4, 5, 3), rng=stream(26, "fail"), name="f")
+    widths, method, steps, raised_by = FAILURES[where]
+    passes = worker_passes(monkeypatch)
+    net = RecurrentStack("lstm", 3, widths, rng=stream(26, "fail"), name="f")
     X = stream(27, "x").normal(size=(9, 4, 3))
-    if where == "layer 0 forward":
-        net.layers[0].forward = _failing_at(net.layers[0].forward, 4)
-        call = lambda: net.forward(X, cache=True)
-    else:
-        net.forward(X, cache=True)
-        net.layers[-1].backward = _failing_at(net.layers[-1].backward, 4)
-        call = lambda: net.backward(np.ones((9, 4, 3)))
+    for l, step in steps.items():  # before the worker forks, which copies them
+        _failing_at(net.layers[l], method, step)
     raised = []
 
     def run():
         try:
-            call()
+            with net.wavefront():
+                net.forward(X, cache=True)
+                net.backward(np.ones((9, 4, 3)))
         except _Injected as exc:
             raised.append(str(exc))
 
@@ -512,8 +566,92 @@ def test_a_failing_layer_reaches_the_caller_and_leaves_no_thread(monkeypatch, wh
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "a wavefront hand-off blocked forever"
-    assert raised == ["failed at step 4"]
+    assert raised == [f"f.{raised_by} {method} failed at step {steps[raised_by]}"]
+    assert passes == (["forward"] if method == "forward" else ["forward", "backward"])
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sig, error", [("SIGKILL", "ended with exit code -9"),
+                                        ("SIGSTOP", "did not answer for 1 s")],
+                         ids=["SIGKILL", "SIGSTOP"])
+def test_a_killed_or_stopped_worker_raises_one_runtime_error_within_seconds(
+        monkeypatch, sig, error):
+    worker_passes(monkeypatch)
+    monkeypatch.setattr(recurrent, "_PATIENCE_S", 1.0)
+    X = stream(56, "x").normal(size=(6, 4, 3))
+    net = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
+    with net.wavefront():
+        H = net.forward(X, cache=True)
+        pid = net._worker.proc.pid
+        os.kill(pid, getattr(signal, sig))  # between forward and backward
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"^wavefront worker {pid} {error}$"):
+            net.backward(H)
+        assert time.monotonic() - start < 5.0
+        # the next pass forks a new worker
+        for p in net.parameters():
+            p.zero_grad()
+        H = net.forward(X, cache=True)
+        got = [H, *net.backward(H)[1], *(p.grad for p in net.parameters())]
+        assert net._worker.proc.pid != pid
+    assert multiprocessing.active_children() == []
+    fresh = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
+    H = fresh.forward(X, cache=True)
+    expected = [H, *fresh.backward(H)[1], *(p.grad for p in fresh.parameters())]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def test_the_scope_releases_the_worker_and_its_shared_memory(monkeypatch):
+    worker_passes(monkeypatch)
+    net = RecurrentStack("lstm", 3, (4, 3), rng=stream(58, "free"), name="m")
+    with net.wavefront():
+        net.backward(net.forward(stream(59, "x").normal(size=(5, 4, 3)), cache=True))
+        link = weakref.ref(net._worker.link)
+    assert link() is None  # no cycle keeps the mapping past the scope
+    assert multiprocessing.active_children() == []
+
+
+# forks a worker, prints its pid and exits without closing it
+ORPHAN = """
+import os
+import numpy as np
+from demandnet.nn.recurrent import RecurrentStack
+os.sched_getaffinity = lambda pid: {0, 1}
+net = RecurrentStack("gru", 3, (4, 3), rng=np.random.default_rng(0), name="o")
+with net.wavefront():
+    net.forward(np.zeros((5, 2, 3)), cache=True)
+    print(net._worker.proc.pid, flush=True)
+    os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_worker_ends_itself_when_its_caller_dies():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    caller = subprocess.Popen([sys.executable, "-c", ORPHAN], stdout=subprocess.PIPE,
+                              text=True, env=env)
+    try:
+        pid = int(caller.stdout.readline())
+        assert caller.wait(timeout=60) == 0
+        deadline = time.monotonic() + 10.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        caller.stdout.close()
+        caller.kill()
+        caller.wait()
 
 
 @pytest.mark.parametrize("where", [None, "layer 0 forward", "top layer backward"])
@@ -525,8 +663,7 @@ def test_a_wavefront_pass_holds_the_blas_at_one_thread_and_restores_it(monkeypat
     before = get()
     set_threads(2)
     try:
-        assert get() == 2
-        _wavefront_at(monkeypatch, 1)
+        passes = worker_passes(monkeypatch)
         net = RecurrentStack("lstm", 3, (4, 3), rng=stream(50, "blas"), name="b")
         X = stream(51, "x").normal(size=(5, 4, 3))
         seen, top = [], net.layers[-1]
@@ -539,15 +676,13 @@ def test_a_wavefront_pass_holds_the_blas_at_one_thread_and_restores_it(monkeypat
 
         top.forward, top.backward = counting(top.forward), counting(top.backward)
         if where == "layer 0 forward":
-            net.layers[0].forward = _failing_at(net.layers[0].forward, 2)
-            with pytest.raises(_Injected):
-                net.forward(X, cache=True)
-        else:
-            H = net.forward(X, cache=True)
-            if where == "top layer backward":
-                top.backward = _failing_at(top.backward, 2)
-            with pytest.raises(_Injected) if where else contextlib.nullcontext():
-                net.backward(H)
+            _failing_at(net.layers[0], "forward", 2)
+        if where == "top layer backward":
+            _failing_at(top, "backward", 2)
+        with pytest.raises(_Injected) if where else contextlib.nullcontext():
+            with net.wavefront():
+                net.backward(net.forward(X, cache=True))
+        assert passes
         assert seen and set(seen) == {1}
         assert get() == 2
     finally:
@@ -556,8 +691,9 @@ def test_a_wavefront_pass_holds_the_blas_at_one_thread_and_restores_it(monkeypat
 
 def test_fit_reports_an_overflow_in_a_worker_like_the_sequential_path(monkeypatch):
     messages = []
-    for width in (10**9, 1):
-        passes = _wavefront_at(monkeypatch, width)
+    passes = worker_passes(monkeypatch)
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
         net = RecurrentStack("gru", 2, (3, 3), rng=stream(28, "div"), name="d")
         net.layers[0].Wx.value[:] = 4.0
         X = stream(29, "x").normal(size=(6, 4, 2))
@@ -569,9 +705,10 @@ def test_fit_reports_an_overflow_in_a_worker_like_the_sequential_path(monkeypatc
             return float(np.sum(H * H))
 
         with pytest.raises(DivergenceError) as caught:
-            fit(net.parameters(), TrainConfig(epochs=1, batch_size=4), "probe", 4,
-                batch_loss, lambda epoch, loss: None)
-        assert len(passes) == (1 if width == 1 else 0)
+            with net.wavefront():
+                fit(net.parameters(), TrainConfig(epochs=1, batch_size=4), "probe", 4,
+                    batch_loss, lambda epoch, loss: None)
+        assert passes == ([] if cpus == 1 else ["forward"])
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert "overflow" in messages[0]
