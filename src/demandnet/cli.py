@@ -7,7 +7,8 @@ artifact can be replayed exactly.  Every file goes through
 the previous artifacts as they were and writes no config snapshot.  A command
 that needs an upstream artifact fails with an error naming the command that
 produces it, and a bad input of any kind (config, dataset, manifest,
-checkpoint) is one ``error:`` line with exit code 2.
+checkpoint) or an output path that cannot be written is one ``error:`` line
+with exit code 2.
 
     demandnet synth           generate a synthetic dataset + manifest
     demandnet ingest          validate an external CSV + manifest
@@ -51,7 +52,7 @@ from .forecaster import (
     save_forecaster,
     variance_vs_truth,
 )
-from .nn.checkpoint import CheckpointError, atomic_write
+from .nn.checkpoint import CheckpointError, OutputError, atomic_write
 from .nn.optim import DivergenceError
 from .pipeline import check_lengths, train_demandnet, train_effects_for
 
@@ -312,7 +313,8 @@ def main(argv=None) -> int:
         COMMANDS[args.command](cfg)
         _write_effective_config(cfg, args.command)
         return 0
-    except (ConfigError, DataError, CheckpointError, PrerequisiteError, DivergenceError) as exc:
+    except (ConfigError, DataError, CheckpointError, OutputError, PrerequisiteError,
+            DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,7 +247,9 @@ def load_run_config(config_path: str | None = None, overrides=(),
                 loaded = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, a path under a file, a symlink loop
+            raise ConfigError(f"cannot read config file {config_path}: {exc.strerror or exc}")
+        except ValueError as exc:  # not JSON, or not text
             raise ConfigError(f"{config_path}: invalid JSON ({exc})")
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top level must be an object")

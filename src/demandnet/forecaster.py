@@ -419,8 +419,9 @@ def forecast_unseen(model: ForecasterModel, bundle: SeriesBundle,
 
     A series the model trained on is normalized by the stats stored at
     training, whatever ``fractions`` says; any other series by stats fitted
-    on its own training fraction, the same convention as training.
-    ``fractions`` also places the default origin at the test-range start.
+    on its own training fraction, the same convention as training; only
+    the ``tau`` rows the window reads are normalized.  ``fractions`` also
+    places the default origin at the test-range start.
     ``policy_mode`` selects the future policy path: the bundle's recorded
     path ("known"), the cross-series mean training trajectory at the same
     calendar offsets ("dummy"), or a caller-supplied schedule ("scheduled").

@@ -34,6 +34,10 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, mismatched, or wrong-kind checkpoints."""
 
 
+class OutputError(RuntimeError):
+    """Raised when :func:`atomic_write` cannot write an artifact."""
+
+
 def _umask() -> int:
     mask = os.umask(0)  # the only way to read it is to set it
     os.umask(mask)
@@ -45,19 +49,24 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` (creating its directory) and
     yield it; when the block finishes it replaces ``path`` with the mode a
     plain :func:`open` would give (0666 less the umask), and on any
-    exception it is deleted and ``path`` is left as it was.  ``mode`` and
+    exception it is deleted and ``path`` is left as it was.  An ``OSError``
+    on the way (a file where a directory should be, a directory in the way,
+    no permission, a full disk) is one :class:`OutputError`.  ``mode`` and
     ``open_kwargs`` are those of :func:`open`."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, mode, **open_kwargs) as fh:
             yield fh
         os.chmod(tmp, 0o666 & ~_umask())  # mkstemp's 0600 would outlive the replace
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc}") from exc
         raise
 
 

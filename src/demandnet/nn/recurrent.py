@@ -10,14 +10,12 @@ Every cell takes batches only and has one contract:
 last output alone, (B, hidden); it accumulates the parameter gradients and
 returns the gradients on the input sequence and on ``h0``.  The LSTM memory
 cell always starts at zero and stays internal.  Both also take a ``relay``,
-which only :class:`RecurrentStack`'s wavefront passes: it supplies the
-output array and paces each step against the neighbouring layer.
-
-Training runs a stack of two or more layers as that wavefront, inside
-:meth:`RecurrentStack.wavefront`: a forked worker process runs every layer
-below the top and hands each step to the top layer, in the calling
-process, through shared memory.  :class:`RecurrentStack` and its
-``wavefront`` describe the gate, the failure rules and the BLAS hold.
+which only :meth:`RecurrentStack.wavefront` passes: in training, a forked
+worker process runs a stack's layers below the top and hands each step to
+the top layer, in the calling process, through shared memory, and the relay
+supplies the output array and paces each step against the neighbouring
+layer.  ``wavefront`` describes the gate, the one failure path and the BLAS
+hold; :class:`_Worker` the shared memory.
 
 Gate weights are packed into combined matrices: input weights
 (in_dim, G*hidden) and recurrent weights (hidden, G*hidden), G = 4 for LSTM
@@ -47,11 +45,11 @@ import ctypes
 import functools
 import gc
 import glob
+import logging
 import math
 import mmap
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
@@ -281,6 +279,8 @@ MC_ROWS = 512
 _POLL_S = 0.1
 _PATIENCE_S = 60.0
 
+log = logging.getLogger(__name__)
+
 
 def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
     try:
@@ -290,19 +290,11 @@ def make_cell(kind: str, in_dim: int, hidden: int, rng=None, name=None):
     return cls(in_dim, hidden, rng=rng, name=name or kind)
 
 
-class _Aborted(Exception):
-    """Ends a wavefront layer whose input layer failed."""
-
-
 class _Relay:
-    """One layer's place in a wavefront pass.
-
-    The layer writes its output steps into ``out``.  ``wait()`` runs before
-    each step reads its input and calls ``take``, if given, which blocks
-    until the layer that produces that input has handed the step over;
-    ``post(t)`` masks step t of ``out`` and calls ``give``, if given, to hand
-    it on.
-    """
+    """One layer's place in a wavefront pass: the layer writes its output
+    steps into ``out``; ``wait()``, before each step reads its input, calls
+    ``take``, if given, which blocks until that input step is handed over;
+    ``post(t)`` masks step t of ``out`` and hands it on with ``give``."""
 
     def __init__(self, out, mask=None, take=None, give=None):
         self.out, self.mask, self.take, self.give = out, mask, take, give
@@ -316,6 +308,29 @@ class _Relay:
             self.out[t] *= self.mask
         if self.give is not None:
             self.give()
+
+
+def _forward_layers(layers, X, masks, states, cache: bool, relay=None) -> np.ndarray:
+    """Run ``layers`` one after another, each output masked before it feeds
+    the next; the last layer runs with ``relay``, if given, which masks it."""
+    for l, layer in enumerate(layers):
+        last = relay if l == len(layers) - 1 else None
+        X = layer.forward(X, h0=states[l], cache=cache, relay=last)
+        if last is None and masks[l] is not None:
+            X *= masks[l]  # X is this call's own array; no cache holds it
+    return X
+
+
+def _backward_layers(layers, d, masks, relay=None):
+    """BPTT through ``layers`` from ``d``, the gradient on the last layer's
+    masked output with its mask applied; the last layer runs with ``relay``,
+    if given.  Returns (dX, [dh0 per layer])."""
+    dh0 = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        d, dh0[l] = layers[l].backward(d, relay=relay if l == len(layers) - 1 else None)
+        if l and masks[l - 1] is not None:
+            d *= masks[l - 1]  # d is layer l's own new array
+    return d, dh0
 
 
 @functools.cache
@@ -338,7 +353,9 @@ def _openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold the bundled OpenBLAS at one thread in the block and restore its
-    count after it, also when the block fails.  The setting is process-wide."""
+    count after it, also when the block fails.  The setting is process-wide.
+    The wavefront holds it for a whole training: holding it for each pass
+    instead left an epoch at two BLAS threads slower than at one."""
     blas = _openblas()
     threads = blas[0]() if blas is not None else 1
     if threads > 1:
@@ -350,311 +367,173 @@ def _one_blas_thread():
             blas[1](threads)
 
 
-def _forks_a_worker(stack) -> bool:
-    """The wavefront's gate: two or more layers, two or more usable CPUs and
-    the ``fork`` start method."""
-    return (len(stack.layers) > 1 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1
-            and "fork" in multiprocessing.get_all_start_methods())
+class _Worker:
+    """The forked process that runs a stack's layers below the top inside
+    :meth:`RecurrentStack.wavefront`, and the memory it shares with the caller.
 
-
-class _Link:
-    """What a stack's top layer, in the caller, shares with the worker that
-    runs the layers below it, for passes of up to ``T`` steps of ``B`` rows.
-
-    The arrays live in one anonymous shared mapping made before the fork:
-    the input ``x`` and its gradient ``dx``; each lower layer's mask
-    ``mask{l}``, initial state ``h0{l}`` and its gradient ``dh0{l}``; each
-    lower parameter's ``value{i}`` and ``grad{i}``; the worker's masked
-    output ``out`` and the top layer's masked gradient ``dout`` on it.
-    ``ahead`` counts the forward steps the worker has handed over, ``back``
-    the backward steps the caller has.  A producer that fails raises
-    ``broken`` and releases its consumer, which aborts.
+    It forks at the scope's first cached forward, with one anonymous shared
+    mapping sized for that pass's T steps of B rows: the input ``x`` and its
+    gradient ``dx``; each lower layer's ``mask{l}``, initial state ``h0{l}``
+    and its gradient ``dh0{l}``; the lower layers' output ``out`` and its
+    gradient ``dout``; and each lower parameter's ``value{i}`` and ``grad{i}``.
+    The parameters are bound to those for the scope, so the optimizer's
+    in-place steps and the worker's gradients cross with no copy.  Process
+    semaphores pace the steps: ``ahead`` counts the forward steps the worker
+    has handed over, ``back`` the backward steps the caller has.  The worker
+    answers each pass True (done) or False (failed).
     """
 
-    def __init__(self, layers, T: int, B: int):
-        ctx = multiprocessing.get_context("fork")
-        lower = layers[:-1]
-        self.capacity = (T, B)
-        self.params = [p for layer in lower for p in layer.parameters()]
-        sizes = {"x": T * B * lower[0].in_dim, "dx": T * B * lower[0].in_dim,
-                 "out": T * B * lower[-1].hidden, "dout": T * B * lower[-1].hidden,
-                 "broken": 1}
-        for l, layer in enumerate(lower):
-            for name in ("mask", "h0", "dh0"):
-                sizes[f"{name}{l}"] = B * layer.hidden
-        for i, p in enumerate(self.params):
-            sizes[f"value{i}"] = sizes[f"grad{i}"] = p.value.size
-        padded = [-(-n // 8) * 8 for n in sizes.values()]  # each starts on 64 bytes
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(padded)), dtype=float)
-        starts = np.cumsum([0, *padded])
-        self.flat = {name: flat[s : s + n] for (name, n), s in zip(sizes.items(), starts)}
-        self.ahead, self.back = ctx.Semaphore(0), ctx.Semaphore(0)
-        self.check = None  # set on each side of the fork: raises when the other is gone
+    def __init__(self, stack):
+        self.stack = stack
+        self.proc = self.conn = self.flat = None
+        self.shared = []  # the lower parameters, bound to the mapping
+        self.retired = False  # set by close: the scope runs layer by layer
+
+    def takes(self, T: int, B: int) -> bool:
+        """Whether a cached forward of T steps of B rows runs through here."""
+        return not self.retired and (self.proc is None or (T <= self.T and B <= self.B))
 
     def view(self, name: str, *shape) -> np.ndarray:
         return self.flat[name][: math.prod(shape)].reshape(shape)
 
-    def param(self, kind: str, i: int) -> np.ndarray:
-        return self.view(f"{kind}{i}", *self.params[i].value.shape)
-
-    def load_rows(self, name: str, lower, arrays, B: int) -> list[bool]:
-        """Copy each lower layer's (B, width) array, where it has one, in;
-        returns which layers have one."""
-        present = [a is not None for a in arrays[: len(lower)]]
-        for l, (layer, a) in enumerate(zip(lower, arrays)):
-            if a is not None:
-                self.view(f"{name}{l}", B, layer.hidden)[...] = a
-        return present
-
-    def rows(self, name: str, lower, present, B: int) -> list:
-        return [self.view(f"{name}{l}", B, layer.hidden) if on else None
-                for l, (layer, on) in enumerate(zip(lower, present))]
-
-    def take(self, steps):
-        """Wait for the producer's next step on ``steps``; raises _Aborted
-        when the producer failed."""
-        since = None
-        while not steps.acquire(timeout=_POLL_S):
-            since = since or time.monotonic()
-            self.check(since)
-        if self.flat["broken"][0]:
-            raise _Aborted
-
-    def stop(self, steps, T: int):
-        """Wake the consumer for every step it may still wait on; it aborts."""
-        self.flat["broken"][0] = 1.0
-        for _ in range(T):
-            steps.release()
-
-
-def _drain(steps):
-    while steps.acquire(False):
-        pass
-
-
-def _lower_forward(lower, link: _Link, T: int, B: int, masked, seeded):
-    """The worker's forward: the layers below the top, one after another,
-    the last handing each masked step to the top layer as it is written."""
-    masks, states = link.rows("mask", lower, masked, B), link.rows("h0", lower, seeded, B)
-    relay = _Relay(link.view("out", T, B, lower[-1].hidden), masks[-1],
-                   give=link.ahead.release)
-    try:
-        cur = link.view("x", T, B, lower[0].in_dim)
-        for l, layer in enumerate(lower):
-            last = l == len(lower) - 1
-            cur = layer.forward(cur, h0=states[l], cache=True, relay=relay if last else None)
-            if not last and masks[l] is not None:
-                cur *= masks[l]
-    except BaseException:
-        link.stop(link.ahead, T)
-        raise
-
-
-def _lower_backward(lower, link: _Link, T: int, B: int, masked, seeded):
-    """The worker's backward: the highest lower layer takes each step of the
-    top layer's masked dX as it is handed over, then each layer below runs."""
-    masks = link.rows("mask", lower, masked, B)
-    relay = _Relay(np.empty((T, B, lower[-1].in_dim)), take=functools.partial(link.take, link.back))
-    d = link.view("dout", T, B, lower[-1].hidden)
-    for l in range(len(lower) - 1, -1, -1):
-        d, dh0 = lower[l].backward(d, relay=relay if l == len(lower) - 1 else None)
-        link.view(f"dh0{l}", B, lower[l].hidden)[...] = dh0
-        if l and masks[l - 1] is not None:
-            d *= masks[l - 1]
-    link.view("dx", T, B, lower[0].in_dim)[...] = d
-
-
-def _serve(lower, link: _Link, conn, theirs, parent: int):
-    """The worker's loop: run each pass of the ``lower`` layers the caller
-    asks for and answer None, or the pass's exception; end on None, on a
-    closed pipe or when the caller is gone."""
-    theirs.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-    gc.freeze()  # collections here then leave the memory shared with the caller alone
-    blas = _openblas()
-    if blas is not None:
-        blas[1](1)
-    for i, p in enumerate(link.params):
-        p.value, p.grad = link.param("value", i), link.param("grad", i)
-
-    def check(since):
-        if os.getppid() != parent:
-            raise SystemExit(1)
-
-    link.check = check
-    passes = {"forward": _lower_forward, "backward": _lower_backward}
-    while True:
+    def _start(self, T: int, B: int):
+        lower = self.stack.layers[:-1]
+        self.T, self.B = T, B
+        self.shared = [p for layer in lower for p in layer.parameters()]
+        sizes = {"x": T * B * lower[0].in_dim, "dx": T * B * lower[0].in_dim,
+                 "out": T * B * lower[-1].hidden, "dout": T * B * lower[-1].hidden}
+        sizes |= {f"{name}{l}": B * layer.hidden for l, layer in enumerate(lower)
+                  for name in ("mask", "h0", "dh0")}
+        sizes |= {f"{name}{i}": p.value.size for i, p in enumerate(self.shared)
+                  for name in ("value", "grad")}
+        padded = [-(-n // 8) * 8 for n in sizes.values()]  # each starts on 64 bytes
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(padded)), dtype=float)
+        starts = np.cumsum([0, *padded])
+        self.flat = {name: flat[s : s + n] for (name, n), s in zip(sizes.items(), starts)}
+        for i, p in enumerate(self.shared):  # bound to the mapping until close()
+            value, grad = (self.view(f"{name}{i}", *p.value.shape) for name in ("value", "grad"))
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad = value, grad
+        ctx = multiprocessing.get_context("fork")
+        self.ahead, self.back = ctx.Semaphore(0), ctx.Semaphore(0)
+        self.conn, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_serve, name="wavefront", daemon=True,
+                           args=(self, theirs, os.getpid()))
         try:
-            while not conn.poll(_POLL_S):
-                check(None)
-            request = conn.recv()
-        except (EOFError, OSError):
-            return
-        if request is None:
-            return
-        kind, T, B, masked, seeded, errstate = request
-        try:
-            with np.errstate(**errstate):
-                passes[kind](lower, link, T, B, masked, seeded)
-            reply = None
-        except _Aborted:  # the top layer failed; the caller raises its error
-            reply = None
-        except Exception as exc:
-            reply = exc
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                reply = RuntimeError(f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(reply)
-        except OSError:
-            return
-
-
-class _Worker:
-    """The forked process that runs a stack's layers below the top inside
-    :meth:`RecurrentStack.wavefront`.  It starts at the first cached forward
-    and again when a pass needs more steps or rows than its link holds or
-    the last one broke off."""
-
-    def __init__(self, stack):
-        self.stack = stack
-        self.link = self.proc = self.conn = None
-        self.busy = False  # a request is out and its answer is not read
-        self.lost = None  # why the worker stopped answering
-
-    def _ready(self, T: int, B: int) -> _Link:
-        link, proc = self.link, self.proc
-        if (proc is None or self.busy or proc.exitcode is not None
-                or T > link.capacity[0] or B > link.capacity[1]):
-            T0, B0 = link.capacity if link is not None else (0, 0)
-            self.close()
-            self.link = link = _Link(self.stack.layers, max(T, T0), max(B, B0))
-            ctx = multiprocessing.get_context("fork")
-            self.conn, theirs = ctx.Pipe()
-            self.proc = ctx.Process(target=_serve, name="wavefront", daemon=True,
-                                    args=(self.stack.layers[:-1], link, theirs, self.conn,
-                                          os.getpid()))
-            self.proc.start()
+            proc.start()
+        finally:
             theirs.close()
-            link.check, self.lost = self._check, None
-        return link
+        self.proc = proc
 
-    def _check(self, since: float):
-        """Raise one RuntimeError when the worker has ended or has not
-        answered for ``_PATIENCE_S`` since ``since``; otherwise return."""
-        proc = self.proc
-        if self.lost is None:
-            if proc.exitcode is None and time.monotonic() - since < _PATIENCE_S:
-                return
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-                self.lost = f"wavefront worker {proc.pid} did not answer for {_PATIENCE_S:g} s"
-            else:
-                self.lost = f"wavefront worker {proc.pid} ended with exit code {proc.exitcode}"
-        self.busy = True
-        raise RuntimeError(self.lost)
+    def _wait(self, ready, answered=lambda: False):
+        """Poll ``ready`` until it is true; raise when the worker answered (it
+        does so mid-pass only on failure), ended, or was silent for too long."""
+        since, proc = time.monotonic(), self.proc
+        while not ready(_POLL_S):
+            if answered():
+                raise RuntimeError(f"wavefront worker {proc.pid} failed")
+            if proc.exitcode is not None:
+                raise RuntimeError(f"wavefront worker {proc.pid} ended with code {proc.exitcode}")
+            if time.monotonic() - since >= _PATIENCE_S:
+                raise RuntimeError(f"wavefront worker {proc.pid} was silent for {_PATIENCE_S:g} s")
 
-    def _send(self, request):
-        self.link.flat["broken"][0] = 0.0
-        self.busy = True
-        try:
-            self.conn.send(request)
-        except OSError:
-            self.proc.join(1.0)
-            self._check(-math.inf)
-
-    def _reply(self):
-        since = None
-        try:
-            while not self.conn.poll(_POLL_S):
-                since = since or time.monotonic()
-                self._check(since)
-            reply = self.conn.recv()
-        except (EOFError, OSError):
-            self.proc.join(1.0)
-            self._check(-math.inf)
-        self.busy = False
-        return reply
+    def _answer(self):
+        """Wait for the worker's answer to a pass; raise unless it is done."""
+        self._wait(lambda timeout: self.conn.poll(timeout) and self.proc.exitcode is None)
+        if not self.conn.recv():
+            raise RuntimeError(f"wavefront worker {self.proc.pid} failed")
 
     def forward(self, X, masks, states) -> np.ndarray:
         """The stack's cached forward over (T, B, in_dim) ``X``."""
         lower, top = self.stack.layers[:-1], self.stack.layers[-1]
         T, B = X.shape[:2]
-        link = self._ready(T, B)
-        link.view("x", T, B, X.shape[2])[...] = X
-        masked = link.load_rows("mask", lower, masks, B)
-        seeded = link.load_rows("h0", lower, states, B)
-        for i, p in enumerate(link.params):
-            link.param("value", i)[...] = p.value
-        self._send(("forward", T, B, masked, seeded, np.geterr()))
-        H = np.empty((T, B, top.hidden))
-        relay = _Relay(H, masks[-1], take=functools.partial(link.take, link.ahead))
-        error = None
-        try:
-            top.forward(link.view("out", T, B, top.in_dim), h0=states[-1], cache=True,
+        if self.proc is None:
+            self._start(T, B)
+        self.view("x", T, B, X.shape[2])[...] = X
+        for name, rows in (("mask", masks), ("h0", states)):
+            for l, layer in enumerate(lower):
+                if rows[l] is not None:
+                    self.view(f"{name}{l}", B, layer.hidden)[...] = rows[l]
+        self.request = (T, B, [m is not None for m in masks[:-1]],
+                        [s is not None for s in states[:-1]])
+        self.conn.send(("forward", *self.request, np.geterr()))
+        relay = _Relay(np.empty((T, B, top.hidden)), masks[-1], take=lambda: self._wait(
+            lambda timeout: self.ahead.acquire(timeout=timeout), self.conn.poll))
+        H = top.forward(self.view("out", T, B, top.in_dim), h0=states[-1], cache=True,
                         relay=relay)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # raised below, unless a lower layer failed
-            error = exc
-        failed = self._reply()
-        _drain(link.ahead)
-        if failed is not None:
-            raise failed
-        if error is not None:
-            raise error
+        self._answer()
         return H
 
-    def backward(self, d, T: int, masks):
+    def backward(self, d, masks):
         """The stack's backward from the top layer's masked output gradient."""
-        if self.proc is None or self.busy:
-            raise RuntimeError("forward(cache=True) must run before backward")
-        lower, top, link = self.stack.layers[:-1], self.stack.layers[-1], self.link
-        B = d.shape[-2]
-        for i, p in enumerate(link.params):
-            link.param("value", i)[...] = p.value
-            link.param("grad", i)[...] = p.grad
-        self._send(("backward", T, B, [m is not None for m in masks[:-1]], None, np.geterr()))
-        relay = _Relay(link.view("dout", T, B, top.in_dim), masks[-2], give=link.back.release)
-        error = None
-        try:
-            dh_top = top.backward(d, relay=relay)[1]
-        except BaseException as exc:  # raised below, before any lower layer's
-            link.stop(link.back, T)
-            error = exc
-        failed = self._reply()
-        _drain(link.back)
-        if error is not None:
-            raise error
-        if failed is not None:
-            raise failed
-        for i, p in enumerate(link.params):
-            p.grad[...] = link.param("grad", i)
-        dh0 = [link.view(f"dh0{l}", B, layer.hidden).copy() for l, layer in enumerate(lower)]
-        return link.view("dx", T, B, lower[0].in_dim).copy(), dh0 + [dh_top]
+        lower, top = self.stack.layers[:-1], self.stack.layers[-1]
+        T, B = self.request[:2]
+        self.conn.send(("backward", *self.request, np.geterr()))
+        relay = _Relay(self.view("dout", T, B, top.in_dim), masks[-2], give=self.back.release)
+        dh_top = top.backward(d, relay=relay)[1]
+        self._answer()
+        dh0 = [self.view(f"dh0{l}", B, layer.hidden).copy() for l, layer in enumerate(lower)]
+        return self.view("dx", T, B, lower[0].in_dim).copy(), dh0 + [dh_top]
 
     def close(self):
-        """End the worker: ask it to stop, and kill it if it is mid-pass or
-        does not stop."""
-        proc = self.proc
-        if proc is None:
-            return
-        if not self.busy and proc.exitcode is None:
-            try:
-                self.conn.send(None)
-            except OSError:
-                pass
-            proc.join(5.0)
-        if proc.exitcode is None:
-            proc.kill()
-        proc.join()
-        proc.close()
-        self.conn.close()
-        self.link.check = None  # the link's shared memory goes with the last view of it
-        self.link = self.proc = self.conn = None
+        """Kill and join the worker, whatever it is doing, and give the lower
+        parameters private copies; the rest of the scope runs layer by layer."""
+        self.retired = True
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.join()
+            self.proc.close()
+        if self.conn is not None:
+            self.conn.close()
+        for p in self.shared:
+            p.value, p.grad = p.value.copy(), p.grad.copy()
+        self.shared, self.proc, self.conn, self.flat = [], None, None, None
+
+
+def _serve(worker: _Worker, conn, parent: int):
+    """The worker process: run each pass of the layers below the top that
+    the caller asks for and answer whether it succeeded, until the caller
+    kills it; end when the caller is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+    gc.freeze()  # collections here then leave the memory shared with the caller alone
+    blas = _openblas()
+    if blas is not None:
+        blas[1](1)
+    lower, view = worker.stack.layers[:-1], worker.view
+
+    def wait(ready):
+        while not ready(_POLL_S):
+            if os.getppid() != parent:
+                raise SystemExit(1)
+
+    def rows(name, present, B):
+        return [view(f"{name}{l}", B, layer.hidden) if on else None
+                for l, (layer, on) in enumerate(zip(lower, present))]
+
+    while True:
+        wait(conn.poll)
+        kind, T, B, masked, seeded, errstate = conn.recv()
+        masks = rows("mask", masked, B)
+        try:
+            with np.errstate(**errstate):
+                if kind == "forward":
+                    states = rows("h0", seeded, B)
+                    relay = _Relay(view("out", T, B, lower[-1].hidden), masks[-1],
+                                   give=worker.ahead.release)
+                    _forward_layers(lower, view("x", T, B, lower[0].in_dim), masks, states,
+                                    True, relay)
+                else:
+                    relay = _Relay(np.empty((T, B, lower[-1].in_dim)), take=lambda: wait(
+                        lambda timeout: worker.back.acquire(timeout=timeout)))
+                    dx, dh0 = _backward_layers(lower, view("dout", T, B, lower[-1].hidden),
+                                               masks, relay)
+                    view("dx", T, B, lower[0].in_dim)[...] = dx
+                    for l, (layer, d) in enumerate(zip(lower, dh0)):
+                        view(f"dh0{l}", B, layer.hidden)[...] = d
+            done = True
+        except Exception:
+            done = False
+        conn.send(done)
 
 
 class RecurrentStack:
@@ -666,27 +545,19 @@ class RecurrentStack:
 
     Inside :meth:`wavefront`, a stack of two or more layers runs its cached
     forward and its backward as a wavefront over (time, layer): layer l+1
-    needs only step t of layer l to run its step t.  A forked worker process
-    runs every layer below the top, the caller runs the top layer, and the
-    steps between them cross through shared memory one at a time, paced by
-    process semaphores, so the two run on two cores.  The worker runs the
-    operations of the layer-by-layer schedule in the same order, on the
-    caller's parameters, copied in before each pass (the gradients are
-    copied back after backward), so every output and gradient is bitwise
-    the same.  Inference, Monte-Carlo passes, ``cache=False`` forwards and
-    one-layer stacks run layer by layer in the caller.
+    needs only step t of layer l to run its step t, so a forked worker runs
+    the layers below the top, with this class's layer loop, while the caller
+    runs the top layer.  Everything else runs layer by layer in the caller.
     """
 
     def __init__(self, kind: str, in_dim: int, widths, rng, name: str = "stack"):
         self.widths = tuple(int(w) for w in widths)
         if not self.widths:
             raise ValueError("stack needs at least one layer")
-        self.layers = []
-        prev = in_dim
-        for l, w in enumerate(self.widths):
-            self.layers.append(make_cell(kind, prev, w, rng=rng, name=f"{name}.{l}"))
-            prev = w
-        self._masks = self._steps = self._worker = None
+        dims = (in_dim, *self.widths)
+        self.layers = [make_cell(kind, dims[l], w, rng=rng, name=f"{name}.{l}")
+                       for l, w in enumerate(self.widths)]
+        self._masks = self._steps = self._inputs = self._worker = None
         self._remote = False  # the last cached forward ran through the worker
 
     def parameters(self) -> list[Parameter]:
@@ -698,17 +569,21 @@ class RecurrentStack:
         wavefront, when the gate allows: two or more layers, two or more
         usable CPUs (``os.sched_getaffinity``) and the ``fork`` start method.
 
-        The worker is forked at the first cached forward and joined when
-        the block exits, also on error.  A failed layer stops the layers
-        that consume its steps, never the ones that feed it, so the error
-        raised is the one the layer-by-layer schedule would raise; the
-        worker's comes back pickled, and it runs under the caller's numpy
-        error state.  A worker that dies or stops answering raises one
-        RuntimeError, and a worker whose caller dies ends itself.  The
-        worker holds its bundled OpenBLAS at one thread, and the caller
-        holds its own at one thread through the block.
+        The worker forks at the block's first cached forward, sized for its
+        steps and rows (a larger pass later runs layer by layer), and is
+        killed when the block exits.  Each layer runs the operations of the
+        layer-by-layer schedule in the same order, so every output and
+        gradient is bitwise the same.  The worker holds its bundled OpenBLAS
+        at one thread, and the caller holds its own through the block.
+
+        Every failure of a pass takes one path, :meth:`_through_worker`: an
+        exception on either side, a worker that ended or did not answer for
+        ``_PATIENCE_S``, or a fork that raised.  A worker whose caller dies
+        ends itself.
         """
-        if self._worker is not None or not _forks_a_worker(self):
+        if (self._worker is not None or len(self.layers) < 2
+                or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                or "fork" not in multiprocessing.get_all_start_methods()):
             yield
             return
         self._worker = _Worker(self)
@@ -719,6 +594,26 @@ class RecurrentStack:
             worker, self._worker, self._remote = self._worker, None, False
             worker.close()
 
+    def _through_worker(self, run, replay):
+        """``run()``, a pass through the worker; should it fail, the worker
+        is killed, and ``replay()`` reruns the pass layer by layer from the
+        inputs the caller kept, so an error is the one the layer-by-layer
+        schedule raises and a lost worker costs time, not bits.  A replay
+        that returns logs one warning; the rest of the scope runs layer by
+        layer.  An interrupt or exit kills the worker and propagates."""
+        try:
+            return run()
+        except BaseException as exc:
+            self._worker.close()
+            self._remote = False
+            if not isinstance(exc, Exception):
+                raise
+            failure = f"{type(exc).__name__}: {exc}"
+        out = replay()
+        log.warning("wavefront pass failed (%s); ran it and the rest of the scope "
+                    "layer by layer", failure)
+        return out
+
     def forward(self, X: np.ndarray, masks=None, initial_states=None, cache: bool = True):
         """Run the full stack; returns the (masked) top-layer sequence."""
         if masks is not None and len(masks) != len(self.layers):
@@ -728,17 +623,14 @@ class RecurrentStack:
         masks = masks if masks is not None else [None] * len(self.layers)
         states = initial_states if initial_states is not None else [None] * len(self.layers)
         if cache:
-            self._masks, self._steps = masks, len(X)
-            self._remote = self._worker is not None
+            X = _as_sequence(X, self.layers[0].in_dim, self.layers[0].name)
+            self._masks, self._steps, self._inputs = masks, len(X), (X, states)
+            self._remote = self._worker is not None and self._worker.takes(*X.shape[:2])
             if self._remote:
-                X = _as_sequence(X, self.layers[0].in_dim, self.layers[0].name)
-                return self._worker.forward(X, masks, states)
-        cur = X
-        for layer, h0, mask in zip(self.layers, states, masks):
-            cur = layer.forward(cur, h0=h0, cache=cache)
-            if mask is not None:
-                cur *= mask  # cur is this call's own array; no cache holds it
-        return cur
+                return self._through_worker(
+                    lambda: self._worker.forward(X, masks, states),
+                    lambda: _forward_layers(self.layers, X, masks, states, True))
+        return _forward_layers(self.layers, X, masks, states, cache)
 
     def forward_first(self, X: np.ndarray) -> np.ndarray:
         """Layer 0's unmasked output on (T, B, in_dim) inputs, for
@@ -794,11 +686,15 @@ class RecurrentStack:
         masks = self._masks
         if masks[-1] is not None:
             d = d * masks[-1]
-        if self._remote:
-            return self._worker.backward(d, self._steps, masks)
-        d_initial = [None] * len(self.layers)
-        for l in range(len(self.layers) - 1, -1, -1):
-            d, d_initial[l] = self.layers[l].backward(d)
-            if l and masks[l - 1] is not None:
-                d *= masks[l - 1]  # d is layer l's own new array
-        return d, d_initial
+        if not self._remote:
+            return _backward_layers(self.layers, d, masks)
+        grads = [p.grad.copy() for p in self.parameters()]
+
+        def replay():
+            for p, grad in zip(self.parameters(), grads):
+                p.grad[...] = grad
+            X, states = self._inputs  # the lower layers' caches were the worker's
+            _forward_layers(self.layers, X, masks, states, True)
+            return _backward_layers(self.layers, d, masks)
+
+        return self._through_worker(lambda: self._worker.backward(d, masks), replay)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -532,3 +533,69 @@ def test_every_subcommand_has_help_text():
         doc = " ".join((fn.__doc__ or "").split())
         assert doc, name
         assert f"{name} {doc}" in listing, name
+
+
+PATH_STATES = ["missing", "a file", "a directory", "under a file", "a symlink loop"]
+
+
+def _path_in_state(root: str, name: str, state: str, content: str) -> str:
+    """A path named ``name`` under ``root`` in ``state``; "a file" holds
+    ``content``."""
+    path = os.path.join(root, name)
+    if state == "a file":
+        with open(path, "w") as fh:
+            fh.write(content)
+    elif state == "a directory":
+        os.mkdir(path)
+    elif state == "under a file":
+        with open(path, "w") as fh:
+            fh.write(content)
+        path = os.path.join(path, "inner")
+    elif state == "a symlink loop":
+        os.symlink(path, path)
+    return path
+
+
+def _tree(root: str) -> dict:
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            if not os.path.islink(path):
+                with open(path, "rb") as fh:
+                    files[path] = fh.read()
+    return files
+
+
+@given(command=st.sampled_from(["synth", "select-features"]),
+       out_state=st.sampled_from(PATH_STATES), config_state=st.sampled_from(PATH_STATES),
+       replace_error=st.sampled_from([None, errno.EACCES, errno.ENOSPC]))
+@settings(max_examples=40)
+def test_every_state_of_out_and_config_exits_0_or_gives_one_error_line(
+        synth_dir, command, out_state, config_state, replace_error):
+    # --out and --config each missing, a file, a directory, a path under a
+    # file or a symlink loop, and os.replace failing or not: the command
+    # succeeds, or it gives one error: line and leaves every file as it was
+    with tempfile.TemporaryDirectory() as root:
+        out = _path_in_state(root, "out", out_state, "not a directory\n")
+        if command == "select-features" and out_state == "a directory":
+            shutil.copy(os.path.join(synth_dir, "manifest.json"), out)
+        config = _path_in_state(root, "run.json", config_state, json.dumps(SMALL_RUN))
+        before = _tree(root)
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            if replace_error is not None:
+                def replace(src, dst):
+                    raise OSError(replace_error, os.strerror(replace_error), dst)
+                mp.setattr(os, "replace", replace)
+            code = _run(command, "--config", config, "--out", out)
+        lines = err.getvalue().splitlines()
+        works = (config_state == "a file" and replace_error is None
+                 and out_state in (("missing", "a directory") if command == "synth"
+                                   else ("a directory",)))
+        if works:
+            assert (code, lines) == (0, [])
+            assert os.path.exists(os.path.join(out, f"config.{command}.json"))
+        else:
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert _tree(root) == before

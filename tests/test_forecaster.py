@@ -1,9 +1,11 @@
 import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandnet import forecaster
@@ -476,6 +478,48 @@ def test_wavefront_training_gives_the_sequential_parameters(monkeypatch):
         assert bool(passes) == (cpus == 2)  # the second run trained through a worker
     assert multiprocessing.active_children() == []
     assert hashes[0] == hashes[1]
+
+
+WAVEFRONT_ARCH = ForecasterArch(cell="lstm", hidden=8, layers=2, horizon=HORIZON,
+                                dropout=0.1, use_policy_skip=False)
+
+
+@pytest.fixture(scope="module")
+def sequential_hash():
+    with pytest.MonkeyPatch.context() as mp:
+        usable_cpus(mp, 1)
+        return _train(arch=WAVEFRONT_ARCH, epochs=2).param_hash()
+
+
+@given(pass_=st.integers(min_value=0, max_value=99),
+       direction=st.sampled_from(["forward", "backward"]),
+       step=st.integers(min_value=0, max_value=TAU - 1))
+@settings(max_examples=10)
+def test_a_worker_killed_at_any_step_leaves_the_sequential_parameters(
+        sequential_hash, pass_, direction, step):
+    # SIGKILL the worker as the top layer hands over step ``step`` of the
+    # ``pass_``-th wavefront pass in ``direction``: that pass replays layer by
+    # layer, the rest of the training runs layer by layer, and no bit changes
+    caller = os.getpid()
+    with pytest.MonkeyPatch.context() as mp:
+        passes = worker_passes(mp)
+        warned = []
+        mp.setattr(recurrent.log, "warning", lambda *args: warned.append(args))
+        target = 2 * (pass_ % 6) + (direction == "backward")
+        post = recurrent._Relay.post
+
+        def post_or_kill(relay, t):
+            if os.getpid() == caller and len(passes) == target + 1 and t == step:
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+            post(relay, t)
+
+        mp.setattr(recurrent._Relay, "post", post_or_kill)
+        model = _train(arch=WAVEFRONT_ARCH, epochs=2)
+    assert passes[: target + 1] == (["forward", "backward"] * 6)[: target + 1]
+    assert len(warned) == 1
+    assert multiprocessing.active_children() == []
+    assert model.param_hash() == sequential_hash
 
 
 def test_gradients_match_finite_differences(skip_model):

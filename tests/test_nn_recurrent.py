@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import itertools
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ import pytest
 from demandnet.nn import recurrent
 from demandnet.nn.activations import sigmoid
 from demandnet.nn.layers import sample_dropout_mask
+from demandnet.nn.loss import add_penalty_grads
 from demandnet.nn.optim import DivergenceError, TrainConfig, fit
 from demandnet.nn.recurrent import GRULayer, LSTMLayer, RecurrentStack, make_cell
 from demandnet.rngs import stream
@@ -463,28 +465,12 @@ def test_wavefront_bits_hold_when_both_processes_share_one_core(monkeypatch):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("widths, pipelined", [
-    ((24,), False), ((96,), False), ((128,), False), ((24, 24), True),
-])
-def test_only_wide_stacks_of_two_or_more_layers_pipeline(monkeypatch, widths, pipelined):
-    # the name dates from a width gate, which is gone: inside the scope the
-    # layer count decides, so a one-layer stack runs layer by layer at any
-    # width and a narrow two-layer stack pipelines
-    passes = worker_passes(monkeypatch)
-    net = RecurrentStack("gru", 2, widths, rng=stream(33, "gate"), name="g")
-    X = stream(34, "x").normal(size=(2, 2, 2))
-    with net.wavefront():
-        net.forward(X, cache=False)
-        assert not passes  # inference passes always run layer by layer
-        net.backward(net.forward(X, cache=True))
-    assert len(passes) == (2 if pipelined else 0)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("widths, cpus, method, forks", [
     ((24, 24), 2, "fork", True), ((4, 5, 3), 2, "fork", True),
+    ((24,), 2, "fork", False), ((96,), 2, "fork", False), ((128,), 2, "fork", False),
     ((24, 24), 1, "fork", False), ((24, 24), 2, "spawn", False),
-], ids=["two layers", "three layers", "one cpu", "no fork"])
+], ids=["two layers", "three layers", "one layer 24", "one layer 96", "one layer 128",
+        "one cpu", "no fork"])
 def test_the_worker_runs_in_the_scope_for_two_layers_on_two_cpus_with_fork(
         monkeypatch, widths, cpus, method, forks):
     passes = worker_passes(monkeypatch)
@@ -508,10 +494,10 @@ class _Injected(RuntimeError):
     pass
 
 
-def _failing_at(layer, method: str, step: int):
-    """Make ``layer``'s ``method`` ("forward" or "backward") raise as it
-    reaches ``step``'s hand-off.  A layer run without a relay gets one that
-    only holds its output, so it fails at the same point."""
+def _failing_at(layer, method: str, step: int, error=_Injected):
+    """Make ``layer``'s ``method`` ("forward" or "backward") raise ``error``
+    as it reaches ``step``'s hand-off.  A layer run without a relay gets one
+    that only holds its output, so it fails at the same point."""
     run = getattr(layer, method)
 
     def failing(seq, *args, relay=None, **kwargs):
@@ -522,7 +508,7 @@ def _failing_at(layer, method: str, step: int):
 
         def post_or_fail(t):
             if t == step:
-                raise _Injected(f"{layer.name} {method} failed at step {t}")
+                raise error(f"{layer.name} {method} failed at step {t}")
             post(t)
 
         relay.post = post_or_fail
@@ -572,34 +558,105 @@ def test_a_failing_layer_reaches_the_caller_and_leaves_no_thread(monkeypatch, wh
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("sig, error", [("SIGKILL", "ended with exit code -9"),
-                                        ("SIGSTOP", "did not answer for 1 s")],
-                         ids=["SIGKILL", "SIGSTOP"])
-def test_a_killed_or_stopped_worker_raises_one_runtime_error_within_seconds(
-        monkeypatch, sig, error):
-    worker_passes(monkeypatch)
+@pytest.mark.parametrize("method", ["forward", "backward"])
+def test_an_interrupt_kills_the_worker_and_propagates_without_a_replay(monkeypatch, method):
+    passes = worker_passes(monkeypatch)
+    net = RecurrentStack("lstm", 3, (4, 5, 3), rng=stream(62, "int"), name="i")
+    X = stream(63, "x").normal(size=(9, 4, 3))
+    _failing_at(net.layers[-1], method, 4, KeyboardInterrupt)
+    ran = []  # the lower layers' passes in this process: a replay would make some
+    for layer in net.layers[:-1]:
+        for name in ("forward", "backward"):
+            run = getattr(layer, name)
+            setattr(layer, name, lambda *a, _run=run, **k: ran.append(1) or _run(*a, **k))
+    with pytest.raises(KeyboardInterrupt, match=f"^i.2 {method} failed at step 4$"):
+        with net.wavefront():
+            net.backward(net.forward(X, cache=True))
+    assert passes == (["forward"] if method == "forward" else ["forward", "backward"])
+    assert not ran
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
+def test_a_killed_or_stopped_worker_costs_a_replay_not_the_bits(monkeypatch, caplog, sig):
+    passes = worker_passes(monkeypatch)
     monkeypatch.setattr(recurrent, "_PATIENCE_S", 1.0)
     X = stream(56, "x").normal(size=(6, 4, 3))
     net = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
     with net.wavefront():
         H = net.forward(X, cache=True)
-        pid = net._worker.proc.pid
-        os.kill(pid, getattr(signal, sig))  # between forward and backward
+        os.kill(net._worker.proc.pid, getattr(signal, sig))  # between forward and backward
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match=f"^wavefront worker {pid} {error}$"):
-            net.backward(H)
+        dX, dh0 = net.backward(H)
         assert time.monotonic() - start < 5.0
-        # the next pass forks a new worker
-        for p in net.parameters():
-            p.zero_grad()
-        H = net.forward(X, cache=True)
-        got = [H, *net.backward(H)[1], *(p.grad for p in net.parameters())]
-        assert net._worker.proc.pid != pid
+        got = [H, dX, *dh0, *(p.grad.copy() for p in net.parameters())]
+        net.backward(net.forward(X, cache=True))  # the rest of the scope: layer by layer
+    assert passes == ["forward", "backward"]
     assert multiprocessing.active_children() == []
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "wavefront pass failed" in caplog.records[0].getMessage()
     fresh = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
     H = fresh.forward(X, cache=True)
-    expected = [H, *fresh.backward(H)[1], *(p.grad for p in fresh.parameters())]
+    dX, dh0 = fresh.backward(H)
+    expected = [H, dX, *dh0, *(p.grad for p in fresh.parameters())]
+    assert len(got) == len(expected)
     for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)),
+                                   DeprecationWarning("use of fork() may lead to deadlocks")],
+                         ids=["EAGAIN", "fork warning"])
+def test_a_failed_fork_runs_the_scope_layer_by_layer_with_the_same_bits(monkeypatch, caplog,
+                                                                        error):
+    # the DeprecationWarning is what CPython 3.12's fork warning raises under -W error
+    passes = worker_passes(monkeypatch)
+
+    def start(self):
+        raise error
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", start)
+    sequential = _stack_pass("lstm", (4, 5, 3), True, True, wavefront=False)
+    pipelined = _stack_pass("lstm", (4, 5, 3), True, True, wavefront=True)
+    assert passes == ["forward"]
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert multiprocessing.active_children() == []
+    for a, b in zip(sequential, pipelined):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_fit_never_rebinds_a_parameter_inside_the_scope(monkeypatch, optimizer):
+    def train(cpus):
+        usable_cpus(monkeypatch, cpus)
+        net = RecurrentStack("gru", 2, (3, 4), rng=stream(60, "bind"), name="s")
+        X = stream(61, "x").normal(size=(5, 8, 2))
+        bound, lower = [], net.layers[0].parameters()
+
+        def batch_loss(rows, epoch, step):
+            H = net.forward(X[:, rows], cache=True)
+            net.backward(H)
+            add_penalty_grads(net.parameters(), 1e-3)
+            if cpus > 1:  # the lower parameters are views of the worker's mapping
+                mapping = net._worker.flat["x"].base
+                assert all(np.shares_memory(a, mapping) for p in lower for a in (p.value, p.grad))
+            bound.append([a for p in net.parameters() for a in (p.value, p.grad)])
+            return float(np.sum(H * H))
+
+        with net.wavefront():
+            fit(net.parameters(), TrainConfig(epochs=2, batch_size=3, optimizer=optimizer,
+                                              learning_rate=1e-2),
+                "bind", 8, batch_loss, lambda epoch, loss: None)
+        for arrays in bound[1:]:
+            assert all(a is b for a, b in zip(bound[0], arrays))
+        return [p.value for p in net.parameters()]
+
+    passes = worker_passes(monkeypatch)
+    sequential = train(1)
+    assert not passes
+    pipelined = train(2)
+    assert passes == ["forward", "backward"] * 6
+    for a, b in zip(sequential, pipelined):
         assert np.array_equal(a, b)
 
 
@@ -608,8 +665,10 @@ def test_the_scope_releases_the_worker_and_its_shared_memory(monkeypatch):
     net = RecurrentStack("lstm", 3, (4, 3), rng=stream(58, "free"), name="m")
     with net.wavefront():
         net.backward(net.forward(stream(59, "x").normal(size=(5, 4, 3)), cache=True))
-        link = weakref.ref(net._worker.link)
-    assert link() is None  # no cycle keeps the mapping past the scope
+        mapping = weakref.ref(net._worker.flat["x"].base)
+    # no view and no cycle keeps the mapping past the scope: the parameters
+    # bound to it have private copies again
+    assert mapping() is None
     assert multiprocessing.active_children() == []
 
 
