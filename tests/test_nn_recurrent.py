@@ -465,12 +465,29 @@ def test_wavefront_bits_hold_when_both_processes_share_one_core(monkeypatch):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("widths, pipelined", [
+    ((24,), False), ((96,), False), ((128,), False), ((24, 24), True),
+])
+def test_only_wide_stacks_of_two_or_more_layers_pipeline(monkeypatch, widths, pipelined):
+    # the name dates from a width gate, which is gone: inside the scope the
+    # layer count decides, so a one-layer stack runs layer by layer at any
+    # width and a narrow two-layer stack pipelines
+    passes = worker_passes(monkeypatch)
+    net = RecurrentStack("gru", 2, widths, rng=stream(33, "gate"), name="g")
+    X = stream(34, "x").normal(size=(2, 2, 2))
+    with net.wavefront():
+        net.forward(X, cache=False)
+        net.forward_passes(net.forward_first(X), [np.ones((4, w)) for w in widths])
+        assert not passes  # inference passes always run layer by layer
+        net.backward(net.forward(X, cache=True))
+    assert passes == (["forward", "backward"] if pipelined else [])
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("widths, cpus, method, forks", [
     ((24, 24), 2, "fork", True), ((4, 5, 3), 2, "fork", True),
-    ((24,), 2, "fork", False), ((96,), 2, "fork", False), ((128,), 2, "fork", False),
     ((24, 24), 1, "fork", False), ((24, 24), 2, "spawn", False),
-], ids=["two layers", "three layers", "one layer 24", "one layer 96", "one layer 128",
-        "one cpu", "no fork"])
+], ids=["two layers", "three layers", "one cpu", "no fork"])
 def test_the_worker_runs_in_the_scope_for_two_layers_on_two_cpus_with_fork(
         monkeypatch, widths, cpus, method, forks):
     passes = worker_passes(monkeypatch)
