@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -41,6 +42,19 @@ def build_bundle(length=60, policy=None, target=None, series_id="T0", statics=No
     )
 
 
+@pytest.fixture(autouse=True)
+def leaves_no_child():
+    """Fail a test that leaves a live ``multiprocessing`` child, such as a
+    wavefront worker whose scope never closed; the child is killed first,
+    so later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"the test left live children: {left}"
+
+
 @pytest.fixture
 def tiny_bundle():
     return build_bundle()
@@ -62,3 +76,16 @@ def worker_passes(monkeypatch):
         monkeypatch.setattr(recurrent._Worker, name,
                             lambda self, *a, _n=name, _run=run: passes.append(_n) or _run(self, *a))
     return passes
+
+
+def training_batches(monkeypatch, module):
+    """Count, in the returned list, the batches that ``module``'s calls of
+    ``fit`` train."""
+    batches, fit = [], module.fit
+
+    def counting(params, config, tag, n_rows, batch_loss, end_epoch):
+        return fit(params, config, tag, n_rows,
+                   lambda *args: batches.append(tag) or batch_loss(*args), end_epoch)
+
+    monkeypatch.setattr(module, "fit", counting)
+    return batches

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from demandnet import features
 from demandnet.data import SynthConfig, make_windows, synth_generate
 from demandnet.features import (
     SaeArch,
@@ -20,7 +21,7 @@ from demandnet.nn import recurrent
 from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.rngs import stream
 from gradcheck import grad_check
-from tests.conftest import build_bundle, usable_cpus
+from tests.conftest import build_bundle, training_batches, usable_cpus, worker_passes
 
 
 # ----------------------------------------------------------------------------
@@ -286,22 +287,29 @@ def test_autoencoder_gradients_match_finite_differences(cell):
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
-def test_wavefront_training_gives_the_autoencoders_sequential_bits(monkeypatch, cell):
+def test_wavefront_training_gives_the_autoencoders_sequential_bits(monkeypatch, caplog, cell):
     # the decoder's worker takes initial states from the code; the encoder's none
     W = _window_array()
     tc = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=3, batch_size=64, seed=0)
+    passes = worker_passes(monkeypatch)
+    batches = training_batches(monkeypatch, features)
     seeded, forward = [], recurrent._Worker.forward
     monkeypatch.setattr(recurrent._Worker, "forward", lambda self, X, masks, states: (
         seeded.append(states[0] is not None) or forward(self, X, masks, states)))
     trained = []
     for cpus in (1, 2):
         usable_cpus(monkeypatch, cpus)
+        batches.clear()
         model = train_autoencoder(W, tc, SaeArch(widths=(6, 5), bottleneck=3, cell=cell),
                                   threshold_ratio=1e-9)
         trained.append([model.training, *(p.value for p in model.parameters())])
         assert bool(seeded) == (cpus == 2)
     assert set(seeded) == {False, True}
     assert multiprocessing.active_children() == []
+    # every pass of both workers worked: a failed one is replayed, and the
+    # rest of the training runs layer by layer, with the same bits
+    assert not [r for r in caplog.records if "wavefront pass failed" in r.getMessage()]
+    assert batches and passes == ["forward", "forward", "backward", "backward"] * len(batches)
     assert trained[0][0] == trained[1][0]
     for a, b in zip(trained[0][1:], trained[1][1:]):
         assert np.array_equal(a, b)

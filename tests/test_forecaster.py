@@ -38,7 +38,7 @@ from demandnet.nn.optim import DivergenceError, TrainConfig
 from demandnet.nn.recurrent import GRULayer
 from demandnet.rngs import stream
 
-from conftest import build_bundle, usable_cpus, worker_passes
+from conftest import build_bundle, training_batches, usable_cpus, worker_passes
 from gradcheck import grad_check
 
 TAU = 8
@@ -468,16 +468,22 @@ def test_training_raises_on_divergence():
             _train(epochs=2, optimizer="sgd", learning_rate=1e40)
 
 
-def test_wavefront_training_gives_the_sequential_parameters(monkeypatch):
+def test_wavefront_training_gives_the_sequential_parameters(monkeypatch, caplog):
     arch = ForecasterArch(cell="lstm", hidden=8, layers=2, horizon=HORIZON,
                           dropout=0.1, use_policy_skip=False)
     hashes, passes = [], worker_passes(monkeypatch)
+    batches = training_batches(monkeypatch, forecaster)
     for cpus in (1, 2):
         usable_cpus(monkeypatch, cpus)
+        batches.clear()
         hashes.append(_train(arch=arch, epochs=2).param_hash())
         assert bool(passes) == (cpus == 2)  # the second run trained through a worker
     assert multiprocessing.active_children() == []
     assert hashes[0] == hashes[1]
+    # every pass worked: a failed one is replayed, and the rest of the
+    # training runs layer by layer, with the same bits
+    assert not [r for r in caplog.records if "wavefront pass failed" in r.getMessage()]
+    assert batches and passes == ["forward", "backward"] * len(batches)
 
 
 WAVEFRONT_ARCH = ForecasterArch(cell="lstm", hidden=8, layers=2, horizon=HORIZON,

@@ -450,8 +450,12 @@ def test_wavefront_gives_the_sequential_bits(monkeypatch, kind, widths, masked, 
 
 
 def test_wavefront_bits_hold_when_both_processes_share_one_core(monkeypatch):
-    # every hand-off then switches processes on the one core
+    # every hand-off then switches processes on the one core, so a side that
+    # polls must yield it to its peer.  Each of the 20 scopes forks a worker,
+    # which has yet to run when the caller, right after the fork, first polls
     passes = worker_passes(monkeypatch)
+    yields, sched_yield = [], os.sched_yield
+    monkeypatch.setattr(os, "sched_yield", lambda: yields.append(1) or sched_yield())
     expected = _stack_pass("gru", (4, 5, 3), True, True, wavefront=False)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
@@ -460,6 +464,7 @@ def test_wavefront_bits_hold_when_both_processes_share_one_core(monkeypatch):
     finally:
         os.sched_setaffinity(0, cpus)
     assert len(passes) == 40
+    assert yields
     for got in runs:
         for a, b in zip(expected, got):
             assert np.array_equal(a, b)
@@ -594,24 +599,44 @@ def test_an_interrupt_kills_the_worker_and_propagates_without_a_replay(monkeypat
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
+# sig -> the failure the replay's warning names
+STOPS = {"SIGKILL": "ended with code -9", "SIGSTOP": "was silent for 1 s",
+         "SIGSTOP at forward step 2": "was silent for 1 s"}
+
+
+@pytest.mark.parametrize("sig", list(STOPS))
 def test_a_killed_or_stopped_worker_costs_a_replay_not_the_bits(monkeypatch, caplog, sig):
     passes = worker_passes(monkeypatch)
     monkeypatch.setattr(recurrent, "_PATIENCE_S", 1.0)
     X = stream(56, "x").normal(size=(6, 4, 3))
     net = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
+    mid_pass, caller, post = "forward step" in sig, os.getpid(), recurrent._Relay.post
+
+    def stop_before_step_2(relay, t):  # in the worker: the caller then waits for step 2
+        if os.getpid() != caller and t == 2:
+            os.kill(os.getpid(), signal.SIGSTOP)
+        post(relay, t)
+
+    if mid_pass:
+        monkeypatch.setattr(recurrent._Relay, "post", stop_before_step_2)
     with net.wavefront():
-        H = net.forward(X, cache=True)
-        os.kill(net._worker.proc.pid, getattr(signal, sig))  # between forward and backward
         start = time.monotonic()
+        H = net.forward(X, cache=True)
+        if not mid_pass:  # between forward and backward
+            pid = net._worker.proc.pid
+            os.kill(pid, getattr(signal, sig))
+            if sig == "SIGKILL":  # gone, but not yet reaped: the backward's request fails
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            start = time.monotonic()
         dX, dh0 = net.backward(H)
         assert time.monotonic() - start < 5.0
         got = [H, dX, *dh0, *(p.grad.copy() for p in net.parameters())]
         net.backward(net.forward(X, cache=True))  # the rest of the scope: layer by layer
-    assert passes == ["forward", "backward"]
+    assert passes == (["forward"] if mid_pass else ["forward", "backward"])
     assert multiprocessing.active_children() == []
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "wavefront pass failed" in caplog.records[0].getMessage()
+    assert STOPS[sig] in caplog.records[0].getMessage()
     fresh = RecurrentStack("gru", 3, (4, 3), rng=stream(55, "kill"), name="k")
     H = fresh.forward(X, cache=True)
     dX, dh0 = fresh.backward(H)
