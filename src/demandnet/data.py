@@ -6,6 +6,12 @@ contiguous per series) plus an optional static sidecar CSV keyed by
 ``series_id``.  In-memory, each location is a read-only :class:`SeriesBundle`;
 channel 0 always refers to the target and channels ``1..M`` to the covariates
 in header order.
+
+The CSVs are read ``BLOCK_ROWS`` rows at a time, each block parsed a column
+at a time, and written one ``writerows`` call per series.  The error raised
+is the first fault in file order: per row, its field count, date, target,
+then covariates in header order; then the sidecar; then each series in id
+order, a date gap before a policy value outside [0, 1].
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -344,21 +351,15 @@ def post_shock_ratio(target: np.ndarray, onset: int) -> float:
 # CSV ingestion
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+def _check_cell(text: str, where: str, date=False) -> None:
+    """Raise the :class:`ParseError` of a cell that is no date (``date``) or
+    no finite number."""
     try:
-        return dt.date.fromisoformat(text.strip())
+        value = dt.date.fromisoformat(text.strip()) if date else float(text)
     except ValueError as exc:
-        raise ParseError(f"{where}: cannot parse date {text!r}") from exc
-
-
-def _parse_float(text: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ParseError(f"{where}: cannot parse number {text!r}") from exc
-    if not math.isfinite(value):
+        raise ParseError(f"{where}: cannot parse {'date' if date else 'number'} {text!r}") from exc
+    if not date and not math.isfinite(value):
         raise ParseError(f"{where}: non-finite value {text!r}")
-    return value
 
 
 def _not_text(path, exc: UnicodeDecodeError) -> ParseError:
@@ -406,26 +407,81 @@ def _read_header(reader, path) -> list[str]:
     return header
 
 
+# rows per block of the CSV readers, which hold one block of cells at a time
+BLOCK_ROWS = 1024
+
+
+def _row_blocks(reader):
+    """The reader's rows in lists of at most ``BLOCK_ROWS``.  A decode or CSV
+    failure surfaces only after the rows read before it were yielded, so they
+    are checked first, as a row-at-a-time reader would check them."""
+    while True:
+        block = []
+        try:
+            for row in itertools.islice(reader, BLOCK_ROWS):
+                block.append(row)
+        except (UnicodeDecodeError, csv.Error):
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _parse_block(block, line, path, header, id_col, numeric, date_col=None, seen=None):
+    """Parse a block of rows, the first on line ``line``, a column at a time.
+
+    Returns the ids in column ``id_col``, the day ordinals of ``date_col``
+    (or None) and a (len(numeric), rows) array of the ``numeric`` columns.
+    With ``seen`` (the ids of earlier rows), no id may repeat.  On any fault
+    the block is checked again a row at a time, raising what a row reader
+    meets first: per row in file order, the field count, a repeated id, the
+    date, then the numbers in ``numeric`` order.
+    """
+    with contextlib.suppress(ValueError):
+        if set(map(len, block)) != {len(header)}:
+            raise ValueError
+        columns = list(zip(*block))
+        ids = columns[id_col]
+        if seen is not None and (len(set(ids)) < len(ids) or not seen.isdisjoint(ids)):
+            raise ValueError
+        days = None if date_col is None else np.fromiter(
+            map(dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, columns[date_col]))),
+            np.int64, len(block))
+        values = np.fromiter(map(float, itertools.chain.from_iterable(columns[c] for c in numeric)),
+                             float, len(numeric) * len(block)).reshape(len(numeric), len(block))
+        if np.isfinite(values).all():
+            return ids, days, values
+    earlier = set(seen or ())
+    for lineno, row in enumerate(block, start=line):
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        if seen is not None:
+            if row[id_col] in earlier:
+                raise SchemaError(f"{where}: duplicate series_id {row[id_col]!r}")
+            earlier.add(row[id_col])
+        if date_col is not None:
+            _check_cell(row[date_col], f"{where}:date", date=True)
+        for col in numeric:
+            _check_cell(row[col], f"{where}:{header[col]}")
+    raise AssertionError(f"{where}: a block failed to parse but none of its rows did")
+
+
 def load_sidecar(path, expected_ids=None) -> dict[str, dict[str, float]]:
     """Load the static-feature sidecar CSV keyed by series id."""
     with _csv_rows(path) as reader:
         header = _read_header(reader, path)
         if header[0] != "series_id":
             raise SchemaError(f"{path}: first column must be 'series_id', got {header[0]!r}")
-        feature_names = header[1:]
         profiles: dict[str, dict[str, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            sid = row[0]
-            if sid in profiles:
-                raise SchemaError(f"{path}:{lineno}: duplicate series_id {sid!r}")
-            profiles[sid] = {
-                name: _parse_float(cell, f"{path}:{lineno}:{name}")
-                for name, cell in zip(feature_names, row[1:])
-            }
+        line = 2
+        for block in _row_blocks(reader):
+            ids, _, values = _parse_block(block, line, path, header, 0,
+                                          range(1, len(header)), seen=profiles.keys())
+            profiles.update(zip(ids, (dict(zip(header[1:], v)) for v in values.T.tolist())))
+            line += len(block)
     if expected_ids is not None:
         missing = [sid for sid in expected_ids if sid not in profiles]
         if missing:
@@ -439,75 +495,78 @@ def load_dataset(path, sidecar=None) -> list[SeriesBundle]:
     The columns ``series_id``, ``date``, ``target`` and ``policy`` are
     required; every other column is a covariate.  Rows may arrive in any
     order; each series is sorted by date and must then be contiguous daily.
-    All numeric cells must parse and be finite, and the policy column must
-    stay within [0, 1].
+    All numeric cells must parse and be finite, the policy column must stay
+    within [0, 1], and there must be at least one row.
     """
     with _csv_rows(path) as reader:
         header = _read_header(reader, path)
-        for col in ("series_id", "date", "target"):
+        for col in ("series_id", "date", "target", "policy"):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
         covariate_names = tuple(c for c in header if c not in ("series_id", "date", "target"))
-        if "policy" not in covariate_names:
-            raise SchemaError(f"{path}: missing required column 'policy'")
         policy_index = covariate_names.index("policy")
-        col_of = {name: header.index(name) for name in header}
-        rows_by_id: dict[str, list] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            sid = row[col_of["series_id"]]
-            date = _parse_date(row[col_of["date"]], f"{path}:{lineno}:date")
-            target = _parse_float(row[col_of["target"]], f"{path}:{lineno}:target")
-            covs = [
-                _parse_float(row[col_of[name]], f"{path}:{lineno}:{name}")
-                for name in covariate_names
-            ]
-            rows_by_id.setdefault(sid, []).append((date, target, covs))
+        numeric = [header.index(name) for name in ("target",) + covariate_names]
+        code_of: dict[str, int] = {}
+        codes, days, values, line = [], [], [], 2
+        for block in _row_blocks(reader):
+            ids, block_days, block_values = _parse_block(
+                block, line, path, header, header.index("series_id"), numeric,
+                header.index("date"))
+            for sid in dict.fromkeys(ids):
+                code_of.setdefault(sid, len(code_of))
+            codes.append(np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids)))
+            days.append(block_days)
+            values.append(block_values)
+            line += len(block)
+    if not codes:
+        raise SchemaError(f"{path}: no data rows")
 
-    profiles = load_sidecar(sidecar, expected_ids=sorted(rows_by_id)) if sidecar else {}
+    ids = sorted(code_of)
+    profiles = load_sidecar(sidecar, expected_ids=ids) if sidecar else {}
+    rank = np.empty(len(ids), np.int64)
+    rank[[code_of[sid] for sid in ids]] = np.arange(len(ids))
+    ranks, days = rank[np.concatenate(codes)], np.concatenate(days)
+    order = np.lexsort((days, ranks))
+    days, panel = days[order], np.concatenate(values, axis=1).T[order]
+    bounds = np.searchsorted(ranks[order], np.arange(len(ids) + 1))
 
-    bundles = []
-    for sid in sorted(rows_by_id):
-        rows = sorted(rows_by_id[sid], key=lambda r: r[0])
-        dates = [r[0] for r in rows]
-        for prev, cur in zip(dates, dates[1:]):
+    bundles, day = [], dt.date.fromordinal
+    for sid, lo, hi in zip(ids, bounds[:-1], bounds[1:]):
+        span = days[lo:hi]
+        bad = np.flatnonzero(np.diff(span) != 1)
+        if bad.size:
+            prev, cur = (day(int(d)) for d in span[bad[0]:bad[0] + 2])
             if cur == prev:
                 raise GapError(f"{path}: series {sid}: duplicate date {cur.isoformat()}")
-            expected = prev + dt.timedelta(days=1)
-            if cur != expected:
-                raise GapError(
-                    f"{path}: series {sid}: missing date {expected.isoformat()} "
-                    f"(gap before {cur.isoformat()})"
-                )
-        target = np.array([r[1] for r in rows])
-        covariates = np.array([r[2] for r in rows])
-        policy = covariates[:, policy_index]
+            raise GapError(
+                f"{path}: series {sid}: missing date {day(prev.toordinal() + 1).isoformat()} "
+                f"(gap before {cur.isoformat()})"
+            )
+        policy = panel[lo:hi, 1 + policy_index]
         bad = np.flatnonzero((policy < 0.0) | (policy > 1.0))
         if bad.size:
             i = int(bad[0])
             raise PolicyRangeError(
                 f"{path}: series {sid}: policy value {policy[i]} on "
-                f"{dates[i].isoformat()} outside [0, 1]"
+                f"{day(int(span[i])).isoformat()} outside [0, 1]"
             )
         bundles.append(
             SeriesBundle(
                 id=sid,
-                target=target,
-                covariates=covariates,
+                target=panel[lo:hi, 0],
+                covariates=panel[lo:hi, 1:],
                 covariate_names=covariate_names,
                 policy_index=policy_index,
                 static_profile=profiles.get(sid, {}),
-                start_date=dates[0],
+                start_date=day(int(span[0])),
             )
         )
     return bundles
 
 
 def write_dataset_csv(bundles: list[SeriesBundle], path):
-    """Write bundles back to the long-format CSV (deterministic bytes, atomically)."""
+    """Write bundles back to the long-format CSV (deterministic bytes, atomically),
+    one ``writerows`` call over each bundle's columns."""
     if not bundles:
         raise ValueError("no bundles to write")
     names = bundles[0].covariate_names
@@ -518,12 +577,12 @@ def write_dataset_csv(bundles: list[SeriesBundle], path):
             if bundle.covariate_names != names:
                 raise ValueError("bundles disagree on covariate names")
             start = bundle.start_date or dt.date(2019, 1, 6)
-            for t in range(bundle.length):
-                day = start + dt.timedelta(days=t)
-                writer.writerow(
-                    [bundle.id, day.isoformat(), repr(float(bundle.target[t]))]
-                    + [repr(float(v)) for v in bundle.covariates[t]]
-                )
+            # OverflowError for a day past 9999-12-31, which numpy would write
+            start + dt.timedelta(days=max(bundle.length - 1, 0))
+            days = (np.datetime64(start, "D") + np.arange(bundle.length)).astype(str).tolist()
+            # the csv module writes each float as its repr
+            writer.writerows(zip(itertools.repeat(bundle.id), days,
+                                 *bundle.channel_matrix().T.tolist()))
 
 
 def write_sidecar_csv(bundles: list[SeriesBundle], path):

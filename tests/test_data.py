@@ -1,4 +1,6 @@
 
+import datetime as dt
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from demandnet.data import (
+    BLOCK_ROWS,
     DataError,
     GapError,
     NormStats,
@@ -31,6 +34,7 @@ from demandnet.data import (
     write_dataset_csv,
     write_sidecar_csv,
 )
+from tests import csv_oracle
 from tests.conftest import build_bundle
 
 
@@ -447,38 +451,167 @@ def test_blank_header_line_is_a_schema_error(tmp_path, loader):
 
 _ODD_CELLS = [b"", b"nan", b"-inf", b"1e999", b"-1", b"2.0", b"x", b"\xff", b'"', b"2020-02-30",
               b"S0", b"1,2"]
+_READER_FAULTS = [b"\xff", b"7" * 200_000]  # undecodable, and larger than the field limit
+
+
+def _long_csv_lines(loader, directory) -> list[bytes]:
+    """A valid file of more than two blocks of rows, as lines."""
+    lines = _valid_csv_bytes(loader, directory, length=BLOCK_ROWS + 200).splitlines(True)
+    if loader is load_sidecar:
+        lines += [b"S%d,1.0,2.0\n" % i for i in range(2, 2 * BLOCK_ROWS + 400)]
+    return lines
+
+
+def _outcome(loader, path):
+    """What ``loader`` makes of ``path``: the error's class and message, or
+    the loaded bits."""
+    try:
+        loaded = loader(path)
+    except DataError as exc:
+        return type(exc), str(exc)
+    if isinstance(loaded, dict):
+        return {sid: [(k, v.hex()) for k, v in row.items()] for sid, row in loaded.items()}
+    return [(b.id, b.target.tobytes(), b.covariates.tobytes(), b.covariates.shape,
+             b.covariate_names, b.policy_index, b.static_profile, b.start_date) for b in loaded]
+
+
+def _oracle_outcome(loader, path):
+    """What the row-at-a-time oracle makes of ``path``; it loads a file with
+    a header and no rows as no series, which the block loader refuses."""
+    expected = _outcome(getattr(csv_oracle, loader.__name__), path)
+    if loader is load_dataset and expected == []:
+        return SchemaError, f"{path}: no data rows"
+    return expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(loader=st.sampled_from([load_dataset, load_sidecar]), data=st.data())
 def test_mutated_csv_raises_only_data_errors(tmp_path_factory, loader, data):
+    """Any mutation either loads the row-at-a-time oracle's bits or raises its
+    error class and message.  The two-fault kind puts a bad cell before an
+    undecodable byte or an oversized field, within its block or more than a
+    block further down, where a block reader could report the later fault."""
     directory = tmp_path_factory.mktemp("mutated")
     raw = _valid_csv_bytes(loader, directory, length=20)
-    kind = data.draw(st.sampled_from(["truncate", "flip", "drop", "repeat", "cell"]), label="kind")
+    kind = data.draw(st.sampled_from(["truncate", "flip", "drop", "repeat", "cell", "two-fault"]),
+                     label="kind")
     if kind == "truncate":
         raw = raw[: data.draw(st.integers(0, len(raw)), label="length")]
     elif kind == "flip":
         at = data.draw(st.integers(0, len(raw) - 1), label="at")
         raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1 :]
+    elif kind == "two-fault":
+        lines = _long_csv_lines(loader, directory)
+        i = data.draw(st.integers(1, len(lines) - BLOCK_ROWS - 2), label="cell line")
+        far = data.draw(st.booleans(), label="far")
+        j = data.draw(st.integers(i + BLOCK_ROWS + 1 if far else i + 1,
+                                  len(lines) - 1 if far else i + BLOCK_ROWS), label="fault line")
+        cells = lines[i].split(b",")
+        cells[data.draw(st.integers(1, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from(_ODD_CELLS), label="value")
+        lines[i] = b",".join(cells) + (b"" if lines[i].endswith(b"\n") else b"\n")
+        at = data.draw(st.integers(0, len(lines[j]) - 1), label="at")
+        lines[j] = lines[j][:at] + data.draw(st.sampled_from(_READER_FAULTS), label="fault") + lines[j][at:]
+        raw = b"".join(lines)
     else:
         lines = raw.split(b"\n")
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
-        if kind == "drop":
-            del lines[i]
-        elif kind == "repeat":
-            lines.insert(i, lines[i])
-        else:
-            cells = lines[i].split(b",")
-            j = data.draw(st.integers(0, len(cells) - 1), label="cell")
-            cells[j] = data.draw(st.sampled_from(_ODD_CELLS), label="value")
-            lines[i] = b",".join(cells)
+        # a second line mutation puts faults of two series or two kinds in one file
+        for _ in range(data.draw(st.integers(1, 2), label="line mutations")):
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            if kind == "drop":
+                del lines[i]
+            elif kind == "repeat":
+                lines.insert(i, lines[i])
+            else:
+                cells = lines[i].split(b",")
+                j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+                cells[j] = data.draw(st.sampled_from(_ODD_CELLS), label="value")
+                lines[i] = b",".join(cells)
+            kind = data.draw(st.sampled_from(["drop", "repeat", "cell"]), label="next kind")
         raw = b"\n".join(lines)
     path = directory / "mutated.csv"
     path.write_bytes(raw)
-    try:
-        loader(path)
-    except DataError:
-        pass
+    assert _outcome(loader, path) == _oracle_outcome(loader, path)
+
+
+@pytest.mark.parametrize("gap_series, policy_series", [(0, 0), (1, 0), (0, 1)])
+def test_series_faults_are_reported_in_id_order_gap_before_policy(tmp_path, gap_series,
+                                                                  policy_series):
+    path = tmp_path / "panel.csv"
+    write_dataset_csv([build_bundle(length=30, series_id=f"S{i}") for i in range(2)], path)
+    lines = path.read_text().splitlines()
+    cells = lines[1 + 30 * policy_series + 3].split(",")
+    cells[3] = "2.0"  # the policy on day 3, before the gap
+    lines[1 + 30 * policy_series + 3] = ",".join(cells)
+    del lines[1 + 30 * gap_series + 20]
+    path.write_text("\n".join(lines) + "\n")
+    expected = GapError if gap_series <= policy_series else PolicyRangeError
+    assert _outcome(load_dataset, path) == _oracle_outcome(load_dataset, path)
+    with pytest.raises(expected, match=f"series S{min(gap_series, policy_series)}: "):
+        load_dataset(path)
+
+
+def test_a_header_only_csv_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("series_id,date,target,policy\n")
+    with pytest.raises(SchemaError, match="empty.csv: no data rows$"):
+        load_dataset(path)
+
+
+_ODD_IDS = st.text(st.sampled_from(["S", "0", ",", '"', " ", "é", "東", "\n"]), max_size=5)
+_VALUES = st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 0.1]) | st.floats(allow_nan=False,
+                                                                        allow_infinity=False)
+_POLICY_VALUES = st.sampled_from([-0.0, 5e-324, 1e-05, 0.1]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(_ODD_IDS, min_size=1, max_size=3, unique=True),
+       start=st.sampled_from([None, dt.date(2020, 2, 29), dt.date(9999, 12, 28)]) | st.dates(),
+       covariates=st.integers(1, 4), length=st.integers(1, 6), data=st.data())
+def test_csv_writers_write_the_row_writers_bytes(tmp_path_factory, ids, start, covariates,
+                                                 length, data):
+    names = ("policy",) + tuple(f"c{k}" for k in range(1, covariates))
+    statics = data.draw(st.lists(_VALUES, max_size=3), label="statics")
+    bundles = [
+        SeriesBundle(
+            id=sid,
+            target=data.draw(st.lists(_VALUES, min_size=length, max_size=length)),
+            covariates=np.column_stack(
+                [data.draw(st.lists(_POLICY_VALUES, min_size=length, max_size=length))]
+                + [data.draw(st.lists(_VALUES, min_size=length, max_size=length))
+                   for _ in names[1:]]),
+            covariate_names=names, policy_index=0,
+            static_profile={f"f{k},{k}": v for k, v in enumerate(statics)}, start_date=start)
+        for sid in ids
+    ]
+    directory = tmp_path_factory.mktemp("writers")
+
+    def written(writer):
+        try:
+            writer(bundles, directory / "out.csv")
+        except OverflowError as exc:  # a day past 9999-12-31
+            return type(exc), str(exc)
+        return (directory / "out.csv").read_bytes()
+
+    for ours, theirs in ((write_dataset_csv, csv_oracle.write_dataset_csv),
+                         (write_sidecar_csv, csv_oracle.write_sidecar_csv)):
+        assert written(ours) == written(theirs)
+
+
+def test_loading_holds_no_more_memory_than_the_row_loader(tmp_path):
+    """The block loader holds one block of cells, never the whole file."""
+    path = tmp_path / "panel.csv"
+    write_dataset_csv(synth_generate(SynthConfig(), 0), path)
+
+    def peak(loader):
+        tracemalloc.start()
+        try:
+            loader(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(load_dataset) <= peak(csv_oracle.load_dataset)
 
 
 # ----------------------------------------------------------------------------
